@@ -158,7 +158,10 @@
 // reconciled and relayed onward, so the next waiter whose predicate holds
 // is signaled and no wake-up is lost. Cancellation takes priority once
 // observed; a waiter may still return nil if its predicate became true
-// before the cancellation was delivered.
+// before the cancellation was delivered. A context wait costs no watcher
+// goroutine on any mechanism: the give-up is registered with
+// context.AfterFunc, which runs nothing until the context is done, and
+// then wakes the one parked waiter.
 //
 // # Deadlines
 //
@@ -170,13 +173,15 @@
 // become true by the deadline the wait returns ErrDeadline — holding the
 // monitor, fully unregistered, with the same relay-invariance repair as
 // cancellation; an expiry observed on wake-up likewise takes priority
-// even if the predicate just became true. Use a deadline when the give-up
-// time is known in advance ("acquire a connection within 50ms"): it costs
-// no context allocation and no watcher goroutine, because all of a
-// monitor's deadlines ride one timer wheel whose single service goroutine
-// starts on demand and exits when no deadline is pending. Use AwaitCtx
-// when cancellation is driven by an external event or an inherited
-// request context.
+// even if the predicate just became true. A context and a deadline give
+// up through one path: the trigger marks the waiter with its error and
+// wakes it, and the waiter unwinds before its Mesa re-check. Neither
+// costs a goroutine per wait. Use a deadline when the give-up time is
+// known in advance ("acquire a connection within 50ms"): it needs no
+// context, and all of a monitor's deadlines ride one timer wheel whose
+// single service goroutine starts on demand and exits when no deadline
+// is pending. Use AwaitCtx when cancellation is driven by an external
+// event or an inherited request context.
 //
 // # Wake policies and starvation accounting
 //

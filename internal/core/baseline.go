@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/policy"
-	"repro/internal/stats"
 )
 
 // Baseline is the reference automatic-signal monitor of the paper's
@@ -19,26 +17,16 @@ import (
 //
 // Blocking waits deliberately stay on the shared condition variable — the
 // broadcast storm they form under contention IS the strawman being
-// measured, and it has no per-waiter addressing to reify. Armed handles
+// measured, and it has no per-waiter addressing to reify. Parking on a
+// *Wait instead would also make the comparison point dearer than the
+// design it stands for (see Explicit for the measurement). Armed handles
 // (ArmFunc) ride alongside on a waiter list whose channels every
 // broadcast also closes, so the baseline still offers the full Mechanism
 // handle surface.
 type Baseline struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	armed   waitList // armed handles, notified on every broadcast
-	profile bool
-	in      bool
-	waiting int // registered waiters: parked Awaits plus armed handles
-	stats   Stats
-
-	pol      policy.Policy // wake policy: accounting only (broadcasts wake everyone)
-	starveNs int64         // starvation threshold; 0 disables Starved
-	seq      uint64        // arrival counter for armed handles
-	wheel    *timerWheel   // deadline wheel, created on first deadline'd wait
-
-	rec *obs.Ring        // flight recorder ring; nil unless recording was active at construction
-	lat *stats.Histogram // wake-to-claim latency, allocated on first completed wait
+	condHost
+	cond  *sync.Cond
+	armed waitList // armed handles, notified on every broadcast
 }
 
 // NewBaseline constructs a baseline monitor. Profiling enables the lock
@@ -48,27 +36,10 @@ func NewBaseline(opts ...Option) *Baseline {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	b := &Baseline{profile: cfg.profile, pol: cfg.policy, starveNs: cfg.starveNs}
+	b := &Baseline{}
+	b.setup(cfg, "baseline")
 	b.cond = sync.NewCond(&b.mu)
-	if rec := obs.Active(); rec != nil {
-		b.rec = rec.NewRing("baseline")
-	}
 	return b
-}
-
-// Enter acquires the monitor.
-func (b *Baseline) Enter() {
-	if b.profile {
-		t0 := time.Now()
-		b.mu.Lock()
-		b.stats.LockNs += time.Since(t0).Nanoseconds()
-	} else {
-		b.mu.Lock()
-	}
-	if b.rec != nil {
-		b.rec.Record(obs.KEnter, 0, 0)
-	}
-	b.in = true
 }
 
 // Exit broadcasts (the state may have changed) and releases the monitor.
@@ -86,16 +57,7 @@ func (b *Baseline) Exit() {
 
 // broadcastLocked is the baseline's signalAll: wake every parked waiter
 // and notify every armed handle.
-func (b *Baseline) broadcastLocked() {
-	b.stats.Broadcasts++
-	if b.rec != nil {
-		b.rec.Record(obs.KBroadcast, 0, 0)
-	}
-	b.cond.Broadcast()
-	if len(b.armed.ws) > 0 {
-		b.armed.broadcast(nil)
-	}
-}
+func (b *Baseline) broadcastLocked() { b.broadcast(b.cond, &b.armed) }
 
 // Do runs f inside the monitor.
 func (b *Baseline) Do(f func()) {
@@ -142,172 +104,8 @@ func (b *Baseline) AwaitFuncTimeout(d time.Duration, pred func() bool) error {
 	return b.await(nil, time.Now().Add(d), pred)
 }
 
-// ctxWaiter is the give-up state of one cond-parked waiter with a
-// context or a deadline. All fields are written and read only under the
-// monitor lock.
-type ctxWaiter struct {
-	cancelled bool  // a watcher (ctx or deadline) fired before the wait finished
-	finished  bool  // the wait completed normally; watchers must not act
-	err       error // the error to return: ctx.Err() or ErrDeadline
-}
-
-// watchCtx spawns the cancellation watcher for one cond-parked waiter:
-// when ctx is done before the wait finishes, it marks the waiter
-// cancelled under mu and broadcasts (waking every waiter; the cancelled
-// one abandons, the rest re-check and re-park). The returned stop
-// function retires the watcher; the caller defers it from the wait loop,
-// where it runs holding mu — the watcher then either loses the select
-// race (and exits via stop) or observes finished and does nothing.
-func watchCtx(ctx context.Context, mu *sync.Mutex, cw *ctxWaiter, wake *sync.Cond) (stop func()) {
-	ch := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			mu.Lock()
-			if !cw.finished && !cw.cancelled {
-				cw.cancelled = true
-				cw.err = ctx.Err()
-				wake.Broadcast()
-			}
-			mu.Unlock()
-		case <-ch:
-		}
-	}()
-	return func() { close(ch) }
-}
-
-// watchDeadline arms a wheel item that marks the waiter expired and
-// broadcasts when the deadline passes first. The caller defers the
-// returned stop, which runs holding mu — the lock order (monitor lock,
-// then wheel lock) matches every other wheel call.
-func watchDeadline(tw *timerWheel, deadline time.Time, mu *sync.Mutex, cw *ctxWaiter, wake *sync.Cond) (stop func()) {
-	it := tw.add(deadline, func() {
-		mu.Lock()
-		if !cw.finished && !cw.cancelled {
-			cw.cancelled = true
-			cw.err = ErrDeadline
-			wake.Broadcast()
-		}
-		mu.Unlock()
-	})
-	return it.stop
-}
-
 func (b *Baseline) await(ctx context.Context, deadline time.Time, pred func() bool) error {
-	if !b.in {
-		panic("autosynch: Await outside the monitor; call Enter first")
-	}
-	b.stats.Awaits++
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		b.stats.Expired++
-		return ErrDeadline
-	}
-	if pred() {
-		b.stats.FastPath++
-		return nil
-	}
-	var cw *ctxWaiter
-	if ctx != nil && ctx.Done() != nil {
-		cw = &ctxWaiter{}
-		defer watchCtx(ctx, &b.mu, cw, b.cond)()
-	}
-	if !deadline.IsZero() {
-		if cw == nil {
-			cw = &ctxWaiter{}
-		}
-		defer watchDeadline(b.timers(), deadline, &b.mu, cw, b.cond)()
-	}
-	since := time.Now().UnixNano()
-	b.waiting++
-	for {
-		b.broadcastLocked()
-		if b.profile {
-			t0 := time.Now()
-			b.cond.Wait()
-			b.stats.AwaitNs += time.Since(t0).Nanoseconds()
-		} else {
-			b.cond.Wait()
-		}
-		if cw != nil && cw.cancelled {
-			if cw.err == ErrDeadline {
-				b.stats.Expired++
-				if b.rec != nil {
-					b.rec.Record(obs.KExpire, 0, 0)
-				}
-			}
-			b.stats.Abandons++
-			if b.rec != nil {
-				b.rec.Record(obs.KCancel, 0, 0)
-			}
-			b.waiting--
-			b.in = true
-			return cw.err
-		}
-		b.stats.Wakeups++
-		if pred() {
-			break
-		}
-		b.stats.FutileWakeups++
-		if b.rec != nil {
-			b.rec.Record(obs.KFutileWake, 0, 0)
-		}
-	}
-	b.waiting--
-	b.in = true
-	if cw != nil {
-		cw.finished = true
-	}
-	if b.rec != nil {
-		b.rec.Record(obs.KClaim, 0, 0)
-	}
-	b.observeWait(since, 0)
-	return nil
-}
-
-// observeWait folds a completed wait's duration into the fairness
-// counters. Runs under the monitor lock; seq identifies the waiter in
-// recorded events (0 for parked waiters, which carry no seq).
-func (b *Baseline) observeWait(since int64, seq uint64) {
-	if since == 0 {
-		return
-	}
-	ns := time.Now().UnixNano() - since
-	if ns > b.stats.MaxWaitNs {
-		b.stats.MaxWaitNs = ns
-	}
-	if b.starveNs > 0 && ns > b.starveNs {
-		b.stats.Starved++
-		if b.rec != nil {
-			b.rec.Record(obs.KStarved, seq, ns)
-		}
-	}
-	if b.lat == nil {
-		b.lat = new(stats.Histogram)
-	}
-	b.lat.Observe(time.Duration(ns))
-}
-
-// timers lazily creates the monitor's deadline wheel. Runs under the
-// monitor lock.
-func (b *Baseline) timers() *timerWheel {
-	if b.wheel == nil {
-		b.wheel = newTimerWheel()
-	}
-	return b.wheel
-}
-
-// statExpired counts a handle that ended at its deadline. Runs under the
-// monitor lock.
-func (b *Baseline) statExpired(w *Wait) {
-	b.stats.Expired++
-	if b.rec != nil {
-		b.rec.Record(obs.KExpire, w.seq, 0)
-	}
+	return b.condWait(ctx, deadline, "Await", b.cond, pred, b.broadcastLocked)
 }
 
 // ArmFunc registers a closure-predicate waiter without blocking and
@@ -318,111 +116,5 @@ func (b *Baseline) statExpired(w *Wait) {
 func (b *Baseline) ArmFunc(pred func() bool) *Wait {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.stats.Arms++
-	w := newWait(b)
-	w.pred = pred
-	b.seq++
-	w.seq = b.seq
-	w.since = time.Now().UnixNano()
-	if b.pol != nil {
-		w.rank = b.pol.Rank(nil)
-	}
-	if b.rec != nil {
-		b.rec.Record(obs.KArm, w.seq, w.rank)
-	}
-	b.armed.add(w)
-	b.waiting++
-	if pred() {
-		w.notify()
-	}
-	return w
-}
-
-// TryFunc is the non-blocking degenerate case of AwaitFunc: one
-// evaluation inside the monitor, no parking, no arming.
-func (b *Baseline) TryFunc(pred func() bool) bool {
-	if !b.in {
-		panic("autosynch: TryFunc outside the monitor; call Enter first")
-	}
-	return pred()
-}
-
-// lockWait and unlockWait expose the monitor lock to the handle methods.
-func (b *Baseline) lockWait()   { b.mu.Lock() }
-func (b *Baseline) unlockWait() { b.mu.Unlock() }
-
-// claimLocked re-validates a handle's closure; on success the claimer
-// holds the monitor, on failure the handle is re-armed for the next
-// broadcast.
-func (b *Baseline) claimLocked(w *Wait) error {
-	if w.pred() {
-		b.stats.Claims++
-		w.state = waitClaimed
-		if b.rec != nil {
-			b.rec.Record(obs.KClaim, w.seq, 0)
-		}
-		b.observeWait(w.since, w.seq)
-		b.armed.remove(w)
-		b.waiting--
-		b.in = true
-		return nil
-	}
-	b.stats.FutileClaims++
-	if b.rec != nil {
-		b.rec.Record(obs.KFutileClaim, w.seq, 0)
-	}
-	w.rearm()
-	return ErrNotReady
-}
-
-// cancelLocked drops a cancelled handle; the broadcast discipline needs
-// no further repair.
-func (b *Baseline) cancelLocked(w *Wait) {
-	b.stats.Abandons++
-	if b.rec != nil {
-		b.rec.Record(obs.KCancel, w.seq, 0)
-	}
-	b.armed.remove(w)
-	b.waiting--
-}
-
-// Stats returns a snapshot of the counters, with the flight-recorder
-// fields folded in from the ring.
-func (b *Baseline) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := b.stats
-	if b.rec != nil {
-		s.ObsEvents = b.rec.Writes()
-		s.ObsDrops = b.rec.Drops()
-	}
-	return s
-}
-
-// WaitLatency returns a copy of the wake-to-claim latency histogram, or
-// nil if no wait has completed.
-func (b *Baseline) WaitLatency() *stats.Histogram {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.lat == nil {
-		return nil
-	}
-	h := *b.lat
-	return &h
-}
-
-// ResetStats zeroes the counters.
-func (b *Baseline) ResetStats() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.stats = Stats{}
-}
-
-// Waiting returns the number of registered waiters (parked Awaits plus
-// armed handles); tests poll it instead of sleeping, and assert zero to
-// prove no handle leaked.
-func (b *Baseline) Waiting() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.waiting
+	return b.armOn(&b.armed, pred)
 }

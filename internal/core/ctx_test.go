@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // pendingSignals reads the condition manager's in-flight signal count; the
@@ -144,7 +148,7 @@ func TestAwaitFuncCtxCancelCleansNoneList(t *testing.T) {
 // TestAwaitCtxRelayInvarianceUnderAbandonment is the adversarial schedule
 // for the relay rule: two waiters whose predicates become true in the same
 // critical section that cancels one of them. The single relayed signal may
-// land on either waiter, and the cancellation broadcast races with it. In
+// land on either waiter, and the cancellation's wake-up races with it. In
 // every interleaving the surviving waiter must be released — either it got
 // the signal directly, or the abandoning waiter reconciled the orphaned
 // signal and re-relayed. Run with -race; a lost wake-up hangs the
@@ -180,7 +184,7 @@ func TestAwaitCtxRelayInvarianceUnderAbandonment(t *testing.T) {
 
 		// Make both predicates true and cancel the first waiter inside one
 		// critical section: Exit relays exactly one signal, and the
-		// cancellation watcher races it for the monitor lock.
+		// context's give-up callback races it for the monitor lock.
 		m.Enter()
 		count.Set(2)
 		cancel()
@@ -200,8 +204,9 @@ func TestAwaitCtxRelayInvarianceUnderAbandonment(t *testing.T) {
 }
 
 // TestAwaitCtxSharedEntryAbandonment cancels one of several waiters that
-// share a single predicate entry: the cancellation broadcast wakes them
-// all, and only unconsumed-signal accounting keeps the survivors correct.
+// share a single predicate entry: the cancelled waiter may hold the one
+// relayed signal, and only unconsumed-signal accounting keeps the
+// survivors correct.
 func TestAwaitCtxSharedEntryAbandonment(t *testing.T) {
 	m := New()
 	count := m.NewInt("count", 0)
@@ -376,6 +381,79 @@ func TestExplicitCondAwaitCtx(t *testing.T) {
 	}
 }
 
+// TestCtxWaitAddsNoGoroutine: a parked ctx wait costs its own goroutine
+// and nothing more on every mechanism — the context's give-up callback is
+// registered with context.AfterFunc, which starts no goroutine until the
+// context is done. Cancelling releases every waiter and leaves nothing
+// behind.
+func TestCtxWaitAddsNoGoroutine(t *testing.T) {
+	const n = 100
+	cases := []struct {
+		name string
+		mech Mechanism
+	}{
+		{"autosynch", New()},
+		{"baseline", NewBaseline()},
+		{"explicit", NewExplicit()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer testutil.NoLeaks(t, tc.mech)()
+			before := goroutineIDs()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			errs := make(chan error, n)
+			for i := 0; i < n; i++ {
+				go func() {
+					tc.mech.Enter()
+					err := tc.mech.AwaitFuncCtx(ctx, func() bool { return false })
+					tc.mech.Exit()
+					errs <- err
+				}()
+			}
+			testWaitParkedMech(t, tc.mech, n)
+			added := 0
+			for id := range goroutineIDs() {
+				if !before[id] {
+					added++
+				}
+			}
+			if added != n {
+				t.Errorf("%d parked ctx waits added %d goroutines, want %d (no watcher per wait)", n, added, n)
+			}
+			cancel()
+			for i := 0; i < n; i++ {
+				var err error
+				waitTimeout(t, 10*time.Second, "cancelled waiter", func() { err = <-errs })
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			}
+		})
+	}
+}
+
+// goroutineIDs returns the IDs of the live goroutines, so a test can count
+// the goroutines it started even while an earlier test's stragglers exit.
+func goroutineIDs() map[string]bool {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := map[string]bool{}
+	for _, line := range strings.Split(string(buf), "\n") {
+		if rest, ok := strings.CutPrefix(line, "goroutine "); ok {
+			ids[strings.Fields(rest)[0]] = true
+		}
+	}
+	return ids
+}
+
 // testWaitParkedMech polls any Mechanism's Waiting count.
 func testWaitParkedMech(t *testing.T, mech Mechanism, n int) {
 	t.Helper()
@@ -393,6 +471,11 @@ func testWaitParkedMech(t *testing.T, mech Mechanism, n int) {
 // and a generic driver flips the state. The explicit monitor needs one
 // manual signal — issued here through a condition created on the side,
 // which is exactly its contract (AwaitFunc wakes on any manual signal).
+// The give-up rows then abandon a parked wait mid-wait, by its context
+// and by its deadline, under one counting rule on every mechanism: a
+// give-up counts one Abandon (plus one Expired for a deadline) and never
+// a wake-up, leaves nothing registered, and a fresh waiter is still
+// served.
 func TestMechanismInterface(t *testing.T) {
 	mon := New()
 	flag := mon.NewInt("flag", 0)
@@ -402,14 +485,30 @@ func TestMechanismInterface(t *testing.T) {
 
 	var expFlag, baseFlag int
 	cases := []struct {
-		name string
-		mech Mechanism
-		pred func() bool
-		set  func()
+		name  string
+		mech  Mechanism
+		pred  func() bool
+		set   func()
+		unset func()
 	}{
-		{"autosynch", mon, func() bool { return flag.Get() == 1 }, func() { flag.Set(1) }},
-		{"baseline", base, func() bool { return baseFlag == 1 }, func() { baseFlag = 1 }},
-		{"explicit", exp, func() bool { return expFlag == 1 }, func() { expFlag = 1; side.Broadcast() }},
+		{"autosynch", mon, func() bool { return flag.Get() == 1 }, func() { flag.Set(1) }, func() { flag.Set(0) }},
+		{"baseline", base, func() bool { return baseFlag == 1 }, func() { baseFlag = 1 }, func() { baseFlag = 0 }},
+		{"explicit", exp, func() bool { return expFlag == 1 }, func() { expFlag = 1; side.Broadcast() }, func() { expFlag = 0 }},
+	}
+	never := func() bool { return false }
+	giveUps := []struct {
+		name          string
+		await         func(mech Mechanism, ctx context.Context) error
+		cancelMidWait bool
+		want          error
+		expired       uint64
+	}{
+		{"ctx-cancel", func(mech Mechanism, ctx context.Context) error {
+			return mech.AwaitFuncCtx(ctx, never)
+		}, true, context.Canceled, 0},
+		{"deadline", func(mech Mechanism, _ context.Context) error {
+			return mech.AwaitFuncTimeout(20*time.Millisecond, never)
+		}, false, ErrDeadline, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -439,6 +538,51 @@ func TestMechanismInterface(t *testing.T) {
 				t.Errorf("AwaitFuncCtx = %v", err)
 			}
 			c.mech.Exit()
+
+			for _, g := range giveUps {
+				t.Run(g.name, func(t *testing.T) {
+					c.mech.ResetStats()
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					errCh := make(chan error, 1)
+					go func() {
+						c.mech.Enter()
+						err := g.await(c.mech, ctx)
+						c.mech.Exit()
+						errCh <- err
+					}()
+					if g.cancelMidWait {
+						testWaitParkedMech(t, c.mech, 1)
+						cancel()
+					}
+					var err error
+					waitTimeout(t, 10*time.Second, g.name+" waiter", func() { err = <-errCh })
+					if !errors.Is(err, g.want) {
+						t.Fatalf("err = %v, want %v", err, g.want)
+					}
+					s := c.mech.Stats()
+					if s.Abandons != 1 || s.Expired != g.expired || s.Wakeups != 0 {
+						t.Errorf("Abandons = %d Expired = %d Wakeups = %d, want 1, %d, 0",
+							s.Abandons, s.Expired, s.Wakeups, g.expired)
+					}
+					if w := c.mech.Waiting(); w != 0 {
+						t.Errorf("Waiting() = %d after the give-up", w)
+					}
+
+					// A fresh waiter is still served.
+					c.mech.Do(c.unset)
+					served := make(chan struct{})
+					go func() {
+						defer close(served)
+						c.mech.Enter()
+						c.mech.AwaitFunc(c.pred)
+						c.mech.Exit()
+					}()
+					testWaitParkedMech(t, c.mech, 1)
+					c.mech.Do(c.set)
+					waitTimeout(t, 10*time.Second, "fresh waiter after "+g.name, func() { <-served })
+				})
+			}
 		})
 	}
 }

@@ -218,7 +218,7 @@ func (cm *condManager) relaySignal() {
 	}
 	start := cm.m.profileStart()
 	var w *Wait
-	if pol := cm.m.cfg.policy; pol != nil {
+	if pol := cm.m.pol; pol != nil {
 		w = cm.policyPick(pol)
 	} else if e := cm.findTrue(); e != nil {
 		// Per-predicate policies still apply without a monitor policy:
@@ -230,7 +230,7 @@ func (cm *condManager) relaySignal() {
 		w.viaRelay = true
 		cm.pending++
 		cm.m.stats.Signals++
-		policyPicked := cm.m.cfg.policy != nil || w.e.policy != nil
+		policyPicked := cm.m.pol != nil || w.e.policy != nil
 		if policyPicked {
 			cm.m.stats.PolicyWakes++
 		}

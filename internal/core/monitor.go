@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // ErrNeverTrue is the sentinel cause reported (wrapped in a
@@ -28,29 +26,11 @@ var ErrNeverTrue = errors.New("autosynch: globalized predicate is constant false
 // By default the monitor is the full AutoSynch mechanism with predicate
 // tagging; construct with WithoutTagging for the AutoSynch-T variant.
 type Monitor struct {
-	mu    sync.Mutex
+	host
 	cfg   config
 	vars  map[string]*varSlot
 	preds map[string]*Predicate
 	cm    *condManager
-	in    bool // a thread is inside the monitor (diagnostics only)
-
-	waiting int // registered waiters: parked Awaits plus armed handles
-	stats   Stats
-
-	seq   uint64      // arrival counter stamped on waiters; policy sort key
-	wheel *timerWheel // deadline wheel, created on first deadline-aware wait
-
-	// Flight recorder ring, bound once at construction when an obs
-	// recorder is active process-wide, nil otherwise. Every event site is
-	// gated by a plain nil check of this field — the field is set before
-	// the monitor is shared, so no atomics are needed and the disabled
-	// path costs one predictable branch.
-	rec *obs.Ring
-
-	// Wake-to-claim latency, allocated lazily on the first completed
-	// (non-fast-path) wait so monitors that never park stay alloc-free.
-	lat *stats.Histogram
 }
 
 // New constructs a monitor.
@@ -64,10 +44,8 @@ func New(opts ...Option) *Monitor {
 		vars:  map[string]*varSlot{},
 		preds: map[string]*Predicate{},
 	}
+	m.setup(cfg, "monitor")
 	m.cm = newCondManager(m)
-	if rec := obs.Active(); rec != nil {
-		m.rec = rec.NewRing("monitor")
-	}
 	return m
 }
 
@@ -125,22 +103,6 @@ func validVarName(name string) bool {
 	}
 	_, isVar := n.(expr.Var)
 	return isVar
-}
-
-// Enter acquires the monitor, like calling a member function of an
-// AutoSynch class. Monitors are not reentrant.
-func (m *Monitor) Enter() {
-	if m.cfg.profile {
-		t0 := time.Now()
-		m.mu.Lock()
-		m.stats.LockNs += time.Since(t0).Nanoseconds()
-	} else {
-		m.mu.Lock()
-	}
-	if m.rec != nil {
-		m.rec.Record(obs.KEnter, 0, 0)
-	}
-	m.in = true
 }
 
 // Exit relays a signal to a waiter whose condition has become true (the
@@ -255,24 +217,14 @@ func (m *Monitor) AwaitPredDeadline(deadline time.Time, p *Predicate, binds ...B
 }
 
 func (m *Monitor) awaitPred(ctx context.Context, deadline time.Time, p *Predicate, binds []Binding) error {
-	if !m.in {
-		panic("autosynch: Await outside the monitor; call Enter first")
+	if err := m.awaitStart(ctx, deadline, "Await"); err != nil {
+		return err
 	}
-	m.stats.Awaits++
 	if p == nil {
 		return &PredicateError{Src: "<nil>", Msg: "nil predicate"}
 	}
 	if p.m != m {
 		return predErrf(p.src, "predicate was compiled by a different monitor")
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		m.stats.Expired++
-		return ErrDeadline
 	}
 	if err := p.setBinds(binds); err != nil {
 		return err
@@ -292,7 +244,7 @@ func (m *Monitor) awaitPred(ctx context.Context, deadline time.Time, p *Predicat
 		return nil
 	}
 	var rank int64
-	if e.policy != nil || m.cfg.policy != nil {
+	if e.policy != nil || m.pol != nil {
 		rank = m.rankFor(e, p.localsMap())
 	}
 	return m.wait(ctx, deadline, e, rank)
@@ -371,18 +323,8 @@ func (m *Monitor) AwaitFuncTimeout(d time.Duration, pred func() bool) error {
 }
 
 func (m *Monitor) awaitFunc(ctx context.Context, deadline time.Time, pred func() bool) error {
-	if !m.in {
-		panic("autosynch: AwaitFunc outside the monitor; call Enter first")
-	}
-	m.stats.Awaits++
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		m.stats.Expired++
-		return ErrDeadline
+	if err := m.awaitStart(ctx, deadline, "AwaitFunc"); err != nil {
+		return err
 	}
 	m.stats.PredicateEvals++
 	if pred() {
@@ -400,20 +342,24 @@ func (m *Monitor) awaitFunc(ctx context.Context, deadline time.Time, pred func()
 // true-condition waiter, park on the handle's ready channel, and on
 // notification consume the signal and re-check the predicate Mesa-style.
 // The blocking Await is thus a thin wrapper around the same waiter object
-// the handle API exposes; only the parking differs. With a non-nil ctx
-// the park is a select against ctx.Done(), and the abandoned waiter
-// unregisters itself and restores relay invariance before returning
-// ctx.Err(). With a non-zero deadline a wheel item marks the waiter
-// expired and notifies it; the expiry is observed on wake-up — before
-// the Mesa re-check, so like cancellation it wins a race against the
-// predicate becoming true — and unwinds through the same abandon path.
+// the handle API exposes; only the parking differs. A context or deadline
+// arms the shared give-up path (host.giveUpOn), whose wake notifies the
+// waiter; the waiter observes the mark on wake-up — before the Mesa
+// re-check, so a give-up wins a race against the predicate becoming
+// true — and leaves through the same repair as a cancelled handle.
 func (m *Monitor) wait(ctx context.Context, deadline time.Time, e *entry, rank int64) error {
 	w := newWait(m)
 	w.e = e
 	w.rank = rank
 	m.cm.register(w)
-	if !deadline.IsZero() {
-		w.timer = m.timers().add(deadline, func() { m.expireWait(w) })
+	if givesUp(ctx, deadline) {
+		m.giveUpOn(ctx, deadline, w, func() {
+			if !w.notified {
+				// A direct notification, not a relay signal: no signal
+				// is pending on its account.
+				m.cm.notify(w)
+			}
+		})
 	}
 	if m.rec != nil {
 		// The pre-park relay continues no one's notification: a fresh
@@ -428,28 +374,16 @@ func (m *Monitor) wait(ctx context.Context, deadline time.Time, e *entry, rank i
 		ready := w.ready
 		t0 := m.profileStart()
 		m.mu.Unlock()
-		if ctx == nil {
-			<-ready
-			m.mu.Lock()
-		} else {
-			select {
-			case <-ready:
-				m.mu.Lock()
-			case <-ctx.Done():
-				m.mu.Lock()
-				m.profileEndAwait(t0)
-				return m.abandon(w, ctx.Err())
-			}
-		}
+		<-ready
+		m.mu.Lock()
 		m.profileEndAwait(t0)
-		m.stats.Wakeups++
-		if w.expired {
-			m.stats.Expired++
-			if m.rec != nil {
-				m.rec.Record(obs.KExpire, w.seq, 0)
-			}
-			return m.abandon(w, ErrDeadline)
+		if w.err != nil {
+			err := m.giveUp(w)
+			m.leave(w)
+			m.in = true
+			return err
 		}
+		m.stats.Wakeups++
 		m.consumeSignal(w)
 		m.stats.PredicateEvals++
 		if e.evalFn() {
@@ -461,34 +395,16 @@ func (m *Monitor) wait(ctx context.Context, deadline time.Time, e *entry, rank i
 		}
 		m.rearmWaiter(w)
 	}
-	w.stopTimer()
+	w.state = waitClaimed
+	w.disarm()
 	if m.rec != nil {
 		m.rec.Record(obs.KClaim, w.seq, 0)
 	}
-	m.observeWaitDone(w)
+	m.observeWait(w.since, w.seq)
 	m.cm.unregister(w)
 	m.retireIfIdle(e)
 	m.in = true
 	return nil
-}
-
-// expireWait runs from the timer wheel when a parked deadline'd wait
-// reaches its deadline: mark the waiter expired and wake it; the waiter
-// unwinds itself. An unnotified waiter gets a direct notification (not a
-// relay signal — no signal is pending on its account); a waiter already
-// holding a notification is merely flagged, and the expiry is observed
-// when it wakes. A waiter that already completed (idx < 0) is left
-// alone — its stop() lost the race to the wheel's sweep, harmlessly.
-func (m *Monitor) expireWait(w *Wait) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if w.idx < 0 || w.expired {
-		return
-	}
-	w.expired = true
-	if !w.notified {
-		m.cm.notify(w)
-	}
 }
 
 // consumeSignal settles the in-flight-signal accounting when a notified
@@ -523,51 +439,19 @@ func (m *Monitor) rearmWaiter(w *Wait) {
 	w.rearm()
 }
 
-// abandon unwinds a waiter whose context was cancelled or whose deadline
-// expired, returning err. Called with the monitor lock held. The waiter
-// is removed from the entry (and the entry, if now waiterless, from the
-// predicate table and tag structures); a signal that was in flight to
-// the abandoned waiter is reconciled; and relaySignal runs so the
-// signaling chain moves to the next waiter whose predicate holds — relay
-// invariance survives the abandonment. Every expiry is also an abandon
-// (Expired never exceeds Abandons).
-func (m *Monitor) abandon(w *Wait, err error) error {
-	m.stats.Abandons++
-	if m.rec != nil {
-		m.rec.Record(obs.KCancel, w.seq, 0)
-	}
-	w.stopTimer()
+// leave unregisters a waiter that gives up — a blocking wait whose
+// context was cancelled or whose deadline passed, or a cancelled or
+// expired handle — and restores relay invariance. Called with the
+// monitor lock held. The waiter is removed from the entry (and the
+// entry, if now waiterless, from the predicate table and tag
+// structures); a signal that was in flight to it is reconciled; and
+// relaySignal runs so the signaling chain moves to the next waiter whose
+// predicate holds.
+func (m *Monitor) leave(w *Wait) {
 	m.consumeSignal(w)
 	m.cm.unregister(w)
 	m.retireIfIdle(w.e)
 	m.cm.relaySignal()
-	m.in = true
-	return err
-}
-
-// observeWaitDone folds a completing waiter's wait time into the
-// fairness counters: MaxWaitNs keeps the longest registration-to-
-// completion wait, and Starved counts completions past the configured
-// threshold. Runs under the monitor lock; waiters that never registered
-// (fast paths, folded-true arms) have since == 0 and are skipped.
-func (m *Monitor) observeWaitDone(w *Wait) {
-	if w.since == 0 {
-		return
-	}
-	ns := time.Now().UnixNano() - w.since
-	if ns > m.stats.MaxWaitNs {
-		m.stats.MaxWaitNs = ns
-	}
-	if m.cfg.starveNs > 0 && ns > m.cfg.starveNs {
-		m.stats.Starved++
-		if m.rec != nil {
-			m.rec.Record(obs.KStarved, w.seq, ns)
-		}
-	}
-	if m.lat == nil {
-		m.lat = new(stats.Histogram)
-	}
-	m.lat.Observe(time.Duration(ns))
 }
 
 // rankFor computes a waiter's policy rank once, at registration time:
@@ -579,7 +463,7 @@ func (m *Monitor) observeWaitDone(w *Wait) {
 func (m *Monitor) rankFor(e *entry, binds map[string]int64) int64 {
 	pol := e.policy
 	if pol == nil {
-		pol = m.cfg.policy
+		pol = m.pol
 	}
 	if pol == nil {
 		return 0
@@ -599,53 +483,6 @@ func (m *Monitor) retireIfIdle(e *entry) {
 		return
 	}
 	m.cm.deactivate(e)
-}
-
-// Stats returns a snapshot of the monitor's counters. The flight-
-// recorder fields (ObsEvents/ObsDrops) are folded in from the ring here
-// rather than maintained per event, so they survive ResetStats as long
-// as the ring does.
-func (m *Monitor) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.stats
-	if m.rec != nil {
-		s.ObsEvents = m.rec.Writes()
-		s.ObsDrops = m.rec.Drops()
-	}
-	return s
-}
-
-// WaitLatency returns a copy of the monitor's wake-to-claim latency
-// histogram — registration to completion of every non-fast-path wait —
-// or nil if no wait has completed.
-func (m *Monitor) WaitLatency() *stats.Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.lat == nil {
-		return nil
-	}
-	h := *m.lat
-	return &h
-}
-
-// ResetStats zeroes the counters (between benchmark warm-up and the
-// measured phase).
-func (m *Monitor) ResetStats() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats = Stats{}
-}
-
-// Waiting returns the number of registered waiters: goroutines parked in
-// Await or AwaitFunc plus armed, unclaimed handles. The count becomes
-// visible only once the waiter is fully registered (it is updated under
-// the monitor lock), so tests can poll it to know a waiter has parked —
-// and assert it returns to zero to prove no handle leaked.
-func (m *Monitor) Waiting() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.waiting
 }
 
 // PendingSignals returns the number of relay signals issued and not yet
@@ -674,28 +511,28 @@ func (m *Monitor) DebugCounts() (active, inactive, groups, none int) {
 
 // profileStart returns the phase start time when profiling is on.
 func (m *Monitor) profileStart() time.Time {
-	if !m.cfg.profile {
+	if !m.profile {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
 func (m *Monitor) profileEndTag(t0 time.Time) {
-	if !m.cfg.profile || t0.IsZero() {
+	if !m.profile || t0.IsZero() {
 		return
 	}
 	m.stats.TagMgmtNs += time.Since(t0).Nanoseconds()
 }
 
 func (m *Monitor) profileEndRelay(t0 time.Time) {
-	if !m.cfg.profile || t0.IsZero() {
+	if !m.profile || t0.IsZero() {
 		return
 	}
 	m.stats.RelayNs += time.Since(t0).Nanoseconds()
 }
 
 func (m *Monitor) profileEndAwait(t0 time.Time) {
-	if !m.cfg.profile || t0.IsZero() {
+	if !m.profile || t0.IsZero() {
 		return
 	}
 	m.stats.AwaitNs += time.Since(t0).Nanoseconds()
@@ -740,29 +577,6 @@ func (m *Monitor) armEntry(e *entry, rank int64) *Wait {
 	return w
 }
 
-// lockWait and unlockWait expose the monitor lock to the generic handle
-// methods.
-func (m *Monitor) lockWait()   { m.mu.Lock() }
-func (m *Monitor) unlockWait() { m.mu.Unlock() }
-
-// timers lazily creates the monitor's deadline wheel. Runs under the
-// monitor lock.
-func (m *Monitor) timers() *timerWheel {
-	if m.wheel == nil {
-		m.wheel = newTimerWheel()
-	}
-	return m.wheel
-}
-
-// statExpired counts a handle that ended at its deadline. Runs under the
-// monitor lock.
-func (m *Monitor) statExpired(w *Wait) {
-	m.stats.Expired++
-	if m.rec != nil {
-		m.rec.Record(obs.KExpire, w.seq, 0)
-	}
-}
-
 // claimLocked re-validates an armed handle's predicate under the monitor
 // lock. On success the waiter is unregistered, the handle is spent, and
 // the monitor stays HELD for the caller; on failure the handle is
@@ -786,7 +600,7 @@ func (m *Monitor) claimLocked(w *Wait) error {
 		if m.rec != nil {
 			m.rec.Record(obs.KClaim, w.seq, 0)
 		}
-		m.observeWaitDone(w)
+		m.observeWait(w.since, w.seq)
 		m.cm.unregister(w)
 		m.retireIfIdle(w.e)
 		m.in = true
@@ -807,19 +621,12 @@ func (m *Monitor) claimLocked(w *Wait) error {
 }
 
 // cancelLocked unregisters a cancelled handle and restores relay
-// invariance, exactly as context abandonment does for a blocking wait.
+// invariance, exactly as a blocking wait that gives up does.
 func (m *Monitor) cancelLocked(w *Wait) {
-	m.stats.Abandons++
-	if m.rec != nil {
-		m.rec.Record(obs.KCancel, w.seq, 0)
+	m.statAbandon(w)
+	if w.e != nil {
+		m.leave(w)
 	}
-	if w.e == nil {
-		return
-	}
-	m.consumeSignal(w)
-	m.cm.unregister(w)
-	m.retireIfIdle(w.e)
-	m.cm.relaySignal()
 }
 
 // TryFunc is the non-blocking degenerate case of AwaitFunc: it evaluates

@@ -134,7 +134,7 @@ func (p *Predicate) Arm(binds ...Binding) *Wait {
 		return w
 	}
 	var rank int64
-	if e.policy != nil || m.cfg.policy != nil {
+	if e.policy != nil || m.pol != nil {
 		rank = m.rankFor(e, p.localsMap())
 	}
 	return m.armEntry(e, rank)

@@ -19,10 +19,13 @@ type Stats struct {
 	Signals    uint64 // single-thread signals issued
 	Broadcasts uint64 // signalAll calls issued (baseline/explicit only)
 
-	// Wake-ups observed by waiters.
-	Wakeups       uint64 // returns from a condition wait
+	// Wake-ups observed by waiters. A wait that gives up while parked
+	// (its context is done or its deadline passes) counts one Abandon,
+	// plus one Expired for a deadline, and never a Wakeup — on every
+	// mechanism.
+	Wakeups       uint64 // returns from a park that go on to re-check the predicate
 	FutileWakeups uint64 // wake-ups that found the predicate still false
-	Abandons      uint64 // waiters that left early: context cancelled or handle Cancel
+	Abandons      uint64 // waiters that left early: context cancelled, deadline passed, or handle Cancel
 
 	// First-class wait handles (Arm/ArmFunc/Claim).
 	Arms         uint64 // handles armed, including arm failures

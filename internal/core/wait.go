@@ -47,9 +47,10 @@ const (
 	waitCancelled
 )
 
-// waitHost is the mechanism half of a handle: each monitor type supplies
-// its own lock plus the registration-aware claim and cancel steps, so one
-// Wait type serves Monitor, Baseline, and Explicit uniformly.
+// waitHost is the mechanism half of a handle: the shared host supplies
+// the lock, the deadline wheel and the expiry count, and Monitor or
+// condHost (Baseline, Explicit) the registration-aware claim and cancel
+// steps, so one Wait type serves all three mechanisms uniformly.
 type waitHost interface {
 	lockWait()
 	unlockWait()
@@ -111,24 +112,24 @@ type Wait struct {
 	ready    chan struct{} // closed to notify; replaced on re-arm
 	state    waitState
 	notified bool  // ready is closed for the current arm cycle
-	viaRelay bool  // the notification is an in-flight relay signal (Monitor)
-	err      error // terminal error: arm failure, ErrCancelled, or ErrDeadline
+	viaRelay bool  // the notification is an unconsumed signal: Monitor's relay or a Cond.Signal
+	err      error // terminal error (arm failure, ErrCancelled, ErrDeadline) or a parked wait's give-up mark
 	e        *entry
 	pred     func() bool // Baseline/Explicit re-validation closure
 	list     *waitList   // registration list for list-based hosts
 	idx      int         // position in e.waiters or list.ws
 
-	// Wake-policy and deadline state. seq is the host-global arrival
+	// Wake-policy and give-up state. seq is the host-global arrival
 	// sequence and rank the registration-time policy rank — together the
 	// policy.Candidate the wake policy compares. since is the
 	// registration wall time feeding MaxWaitNs/Starved; timer the armed
-	// deadline item, if any; expired flags a blocking waiter whose
-	// deadline fired (checked before the predicate on wake-up).
+	// deadline item, if any, and stopCtx the context callback of a
+	// blocking wait that can be cancelled (see host.giveUpOn).
 	seq     uint64
 	rank    int64
 	since   int64
 	timer   *timerItem
-	expired bool
+	stopCtx func() bool
 
 	// Select subscription: when set, every notification additionally
 	// delivers selIdx on selCh, so one goroutine can park on a single
@@ -275,7 +276,7 @@ func (w *Wait) Claim() error {
 		w.host.unlockWait()
 		return err
 	}
-	w.stopTimer()
+	w.disarm()
 	return nil
 }
 
@@ -323,11 +324,15 @@ func (w *Wait) expire() {
 	w.notify()
 }
 
-// stopTimer disarms the handle's deadline, if any. Runs under the host
-// lock.
-func (w *Wait) stopTimer() {
+// disarm stops the waiter's give-up triggers: its deadline item and its
+// context callback, if any. Runs under the host lock.
+func (w *Wait) disarm() {
 	w.timer.stop()
 	w.timer = nil
+	if w.stopCtx != nil {
+		w.stopCtx()
+		w.stopCtx = nil
+	}
 }
 
 // cand is the waiter's identity for wake-policy comparisons.
@@ -350,7 +355,7 @@ func (w *Wait) Cancel() {
 	}
 	w.state = waitCancelled
 	w.err = ErrCancelled
-	w.stopTimer()
+	w.disarm()
 	// Unregister before closing the channel: the host's bookkeeping (the
 	// entry's unnotified count, for Monitor) distinguishes delivered
 	// notifications from the cancellation's courtesy close.
@@ -396,22 +401,19 @@ func (l *waitList) remove(w *Wait) {
 	w.list = nil
 }
 
-// broadcast notifies every registered waiter except skip (a waiter about
-// to park must not wake itself with its own pre-wait broadcast).
-func (l *waitList) broadcast(skip *Wait) {
+// broadcast notifies every registered waiter.
+func (l *waitList) broadcast() {
 	for _, w := range l.ws {
-		if w != skip {
-			w.notify()
-		}
+		w.notify()
 	}
 }
 
 // signalOne notifies one not-yet-notified waiter, mirroring
-// sync.Cond.Signal; returns the notified waiter, or nil when every
-// waiter is already notified (or the list is empty). Without a policy
-// the pick is list order; with one, the policy compares every eligible
-// handle and the best wakes — the explicit-monitor half of the
-// pluggable wake policies.
+// sync.Cond.Signal, and marks it as holding the signal until it claims;
+// returns the notified waiter, or nil when every waiter is already
+// notified (or the list is empty). Without a policy the pick is list
+// order; with one, the policy compares every eligible handle and the
+// best wakes — the explicit-monitor half of the pluggable wake policies.
 func (l *waitList) signalOne(pol policy.Policy) *Wait {
 	var best *Wait
 	for _, w := range l.ws {
@@ -419,17 +421,17 @@ func (l *waitList) signalOne(pol policy.Policy) *Wait {
 			continue
 		}
 		if pol == nil {
-			w.notify()
-			return w
+			best = w
+			break
 		}
 		if best == nil || pol.Better(cand(w), cand(best)) {
 			best = w
 		}
 	}
-	if best == nil {
-		return nil
+	if best != nil {
+		best.notify()
+		best.viaRelay = true
 	}
-	best.notify()
 	return best
 }
 

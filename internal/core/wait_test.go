@@ -594,3 +594,66 @@ func TestBlockingWaitIsHandleWrapper(t *testing.T) {
 		t.Errorf("Waiting() = %d", got)
 	}
 }
+
+// TestCondSignalRedirect pins Java Condition's redirect rule on armed
+// handles: Cond.Signal notifies one of two eligible handles, and that
+// handle then leaves without claiming — by Cancel (as Select cancels its
+// losers) or by its Deadline. The signal it never consumed must pass to
+// the other handle, or that handle waits forever on a true predicate.
+func TestCondSignalRedirect(t *testing.T) {
+	cases := []struct {
+		name  string
+		leave func(t *testing.T, w *Wait)
+		want  error
+	}{
+		{"cancel", func(t *testing.T, w *Wait) { w.Cancel() }, ErrCancelled},
+		{"deadline", func(t *testing.T, w *Wait) {
+			w.Deadline(time.Now())
+			testutil.WaitFor(t, 5*time.Second, 0, func() bool { return w.Err() != nil },
+				"notified handle expired")
+		}, ErrDeadline},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewExplicit()
+			defer testutil.NoLeaks(t, e)()
+			c := e.NewCond()
+			state := 0
+			pred := func() bool { return state >= 1 }
+			a, b := c.Arm(pred), c.Arm(pred)
+			e.Do(func() { state = 1; c.Signal() })
+
+			notified, other := a, b
+			select {
+			case <-a.Ready():
+			case <-b.Ready():
+				notified, other = b, a
+			default:
+				t.Fatal("Signal notified no handle")
+			}
+			select {
+			case <-other.Ready():
+				t.Fatal("one Signal notified both handles")
+			default:
+			}
+			tc.leave(t, notified)
+			if err := notified.Err(); !errors.Is(err, tc.want) {
+				t.Fatalf("leaving handle Err = %v, want %v", err, tc.want)
+			}
+			// The redirect runs under the monitor lock as the handle
+			// leaves, so the other handle is notified by now.
+			select {
+			case <-other.Ready():
+			default:
+				t.Fatal("the unconsumed signal was lost: the other handle was never notified")
+			}
+			if err := other.Claim(); err != nil {
+				t.Fatalf("Claim = %v", err)
+			}
+			e.Exit()
+			if s := e.Stats(); s.Signals != 1 || s.Abandons != 1 {
+				t.Errorf("Signals = %d Abandons = %d, want 1 and 1", s.Signals, s.Abandons)
+			}
+		})
+	}
+}
