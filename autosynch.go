@@ -447,10 +447,6 @@ func WithoutTagging() Option { return core.WithoutTagging() }
 // the closure-compiled path serves even when a registration matches.
 func WithoutGenerated() Option { return core.WithoutGenerated() }
 
-// WithProfiling enables the Table 1 phase timers (await / lock /
-// relaySignal / tag manager).
-func WithProfiling() Option { return core.WithProfiling() }
-
 // WithInactiveLimit bounds the inactive predicate cache (§5.2).
 func WithInactiveLimit(n int) Option { return core.WithInactiveLimit(n) }
 

@@ -80,7 +80,7 @@ func TestFacadeReExports(t *testing.T) {
 
 	b := autosynch.NewBaseline()
 	b.Do(func() {})
-	e := autosynch.NewExplicit(autosynch.WithProfiling())
+	e := autosynch.NewExplicit()
 	c := e.NewCond()
 	e.Do(func() { c.Signal(); c.Broadcast() })
 	if s := e.Stats(); s.Signals != 1 || s.Broadcasts != 1 {

@@ -57,12 +57,9 @@ func benchTagShape(b *testing.B, pred string) {
 // the default dispatch. The shared monitor state keeps the predicate true
 // throughout, so every iteration takes the fast path and the measured
 // ns/op is pure per-wait API overhead.
-func benchAwaitMode(b *testing.B, mode string, profile bool) {
+func benchAwaitMode(b *testing.B, mode string) {
 	b.Helper()
 	var opts []autosynch.Option
-	if profile {
-		opts = append(opts, autosynch.WithProfiling())
-	}
 	if mode != "generated" {
 		opts = append(opts, autosynch.WithoutGenerated())
 	}

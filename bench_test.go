@@ -95,21 +95,25 @@ func BenchmarkFig15ContextSwitches(b *testing.B) {
 	benchMechs(b, pb.Runner, pb.Mechanisms(), 64)
 }
 
-// BenchmarkTable1CPUBreakdown: the profiled round-robin run behind
-// Table 1; reports the relaySignal and tag-manager shares as metrics.
+// BenchmarkTable1CPUBreakdown: the round-robin run behind Table 1, under
+// the flight recorder; reports the relaySignal, tag-manager and await
+// span totals per run as metrics.
 func BenchmarkTable1CPUBreakdown(b *testing.B) {
 	for _, mech := range []problems.Mechanism{problems.Explicit, problems.AutoSynchT, problems.AutoSynch} {
 		mech := mech
 		b.Run(mech.String(), func(b *testing.B) {
 			var relayNs, tagNs, awaitNs float64
 			for i := 0; i < b.N; i++ {
-				r := problems.RunRoundRobinProfiled(mech, 128, benchOps)
+				r, an, wrapped := harness.Table1Run(mech, benchOps)
 				if r.Check != 0 {
 					b.Fatalf("check failed: %d", r.Check)
 				}
-				relayNs += float64(r.Stats.RelayNs)
-				tagNs += float64(r.Stats.TagMgmtNs)
-				awaitNs += float64(r.Stats.AwaitNs)
+				if wrapped || an.Drops != 0 {
+					b.Fatalf("lossy trace: wrapped=%t drops=%d", wrapped, an.Drops)
+				}
+				relayNs += float64(an.RelayNs)
+				tagNs += float64(an.TagNs)
+				awaitNs += float64(an.AwaitNs)
 			}
 			n := float64(b.N)
 			b.ReportMetric(relayNs/n, "relay-ns/run")
@@ -126,22 +130,15 @@ func BenchmarkTable1CPUBreakdown(b *testing.B) {
 // every wait, AwaitPred skips the lookup entirely, the typed-builder
 // form compiles to the same *Predicate as the string, and the generated
 // form runs the same AwaitPred loop with the minisynchc-generated
-// evaluator dispatched in place of the closure tree. The profiled
-// variants run the same loop with the Table-1 phase timers enabled,
-// confirming the reduction shows up under profiling too:
+// evaluator dispatched in place of the closure tree (BenchmarkObsNoParkWait
+// prices the same loop under the flight recorder):
 //
 //	go test -bench 'AwaitStringVsCompiled' -benchtime 2s
 func BenchmarkAwaitStringVsCompiled(b *testing.B) {
-	for _, profile := range []bool{false, true} {
-		for _, mode := range []string{"string", "compiled", "builder", "generated"} {
-			name := mode
-			if profile {
-				name += "-profiled"
-			}
-			b.Run(name, func(b *testing.B) {
-				benchAwaitMode(b, mode, profile)
-			})
-		}
+	for _, mode := range []string{"string", "compiled", "builder", "generated"} {
+		b.Run(mode, func(b *testing.B) {
+			benchAwaitMode(b, mode)
+		})
 	}
 }
 

@@ -24,7 +24,8 @@
 // -trace records the run in the internal/obs flight recorder and dumps
 // the merged event stream into a binary trace file; -analyze reloads such
 // a file and prints the wake-chain reconstruction (chain lengths, relay
-// hops, futile ratio, storm count). -gomaxprocs repeats the run once per
+// hops, futile ratio, storm count) and the Table 1 phase totals its span
+// events add up to (await, lock, relay, tag). -gomaxprocs repeats the run once per
 // listed GOMAXPROCS value, suffixing JSON artifacts with -p<N>.
 //
 // Absolute runtimes will differ from the paper (goroutines on modern
@@ -214,9 +215,9 @@ func parseProcs(s string) ([]int, error) {
 	return procs, nil
 }
 
-// runAnalyze loads a -trace file and prints the wake-chain view: the
-// aggregate analysis line, the chain-length distribution, and the
-// longest chains.
+// runAnalyze loads a -trace file and prints the analysis: the wake-chain
+// summary, the phase totals of its spans, and the chain-length
+// distribution.
 func runAnalyze(path string) {
 	events, drops, err := obs.ReadFile(path)
 	if err != nil {

@@ -29,8 +29,9 @@ type Baseline struct {
 	armed waitList // armed handles, notified on every broadcast
 }
 
-// NewBaseline constructs a baseline monitor. Profiling enables the lock
-// and await phase timers.
+// NewBaseline constructs a baseline monitor. Of the options, only the
+// wait-time accounting ones act here (WithPolicy, WithStarvationThreshold);
+// the predicate options have no predicates to act on.
 func NewBaseline(opts ...Option) *Baseline {
 	cfg := defaultConfig()
 	for _, o := range opts {

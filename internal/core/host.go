@@ -26,7 +26,6 @@ type host struct {
 
 	pol      policy.Policy // wake policy; nil keeps the mechanism's default pick
 	starveNs int64         // starvation threshold; 0 disables Starved
-	profile  bool          // phase timers on (WithProfiling)
 
 	wheel *timerWheel // deadline wheel, created on first deadline'd wait
 
@@ -34,7 +33,9 @@ type host struct {
 	// recorder is active process-wide, nil otherwise. Every event site is
 	// gated by a plain nil check of this field — the field is set before
 	// the monitor is shared, so no atomics are needed and the disabled
-	// path costs one predictable branch.
+	// path costs one predictable branch. The recorder is also the only
+	// timing instrument: span events carry their start stamp in Arg (see
+	// spanStart).
 	rec *obs.Ring
 
 	// Wake-to-claim latency, allocated lazily on the first completed
@@ -45,25 +46,33 @@ type host struct {
 // setup copies the host's settings out of cfg and binds a recorder ring
 // named after the mechanism when recording is active.
 func (h *host) setup(cfg config, mechanism string) {
-	h.pol, h.starveNs, h.profile = cfg.policy, cfg.starveNs, cfg.profile
+	h.pol, h.starveNs = cfg.policy, cfg.starveNs
 	if rec := obs.Active(); rec != nil {
 		h.rec = rec.NewRing(mechanism)
 	}
 }
 
-// Enter acquires the monitor. Monitors are not reentrant.
+// Enter acquires the monitor. Monitors are not reentrant. A recorded
+// KEnter is the lock-acquisition span.
 func (h *host) Enter() {
-	if h.profile {
-		t0 := time.Now()
+	if h.rec == nil {
 		h.mu.Lock()
-		h.stats.LockNs += time.Since(t0).Nanoseconds()
 	} else {
+		t0 := obs.Now()
 		h.mu.Lock()
-	}
-	if h.rec != nil {
-		h.rec.Record(obs.KEnter, 0, 0)
+		h.rec.Record(obs.KEnter, 0, t0)
 	}
 	h.in = true
+}
+
+// spanStart returns the start stamp of a span event — KClaim or
+// KFutileWake after a park, KRelay, KTag — or 0 when the monitor does
+// not record, so the disabled path reads no clock.
+func (h *host) spanStart() int64 {
+	if h.rec == nil {
+		return 0
+	}
+	return obs.Now()
 }
 
 // lockWait and unlockWait expose the monitor lock to the handle methods.
@@ -167,15 +176,17 @@ func (h *host) statAbandon(w *Wait) {
 // observeWait folds a completed wait's duration into the fairness
 // counters: MaxWaitNs keeps the longest registration-to-completion wait,
 // Starved counts completions past the configured threshold, and the
-// latency histogram records it. Runs under the monitor lock; seq names
-// the waiter in recorded events (0 for condition-variable waits, which
-// carry none), and a waiter that never registered (since == 0: fast
-// paths, folded-true arms) is skipped.
+// latency histogram records it. since is the registration stamp on the
+// recorder's monotonic clock (obs.Now), so a wall-clock step cannot skew
+// the duration. Runs under the monitor lock; seq names the waiter in
+// recorded events (0 for condition-variable waits, which carry none),
+// and a waiter that never registered (since == 0: fast paths,
+// folded-true arms) is skipped.
 func (h *host) observeWait(since int64, seq uint64) {
 	if since == 0 {
 		return
 	}
-	ns := time.Now().UnixNano() - since
+	ns := obs.Now() - since
 	if ns > h.stats.MaxWaitNs {
 		h.stats.MaxWaitNs = ns
 	}
@@ -269,21 +280,15 @@ func (h *condHost) condWait(ctx context.Context, deadline time.Time, what string
 		w = new(Wait)
 		h.giveUpOn(ctx, deadline, w, c.Broadcast)
 	}
-	since := time.Now().UnixNano()
+	since := obs.Now()
 	h.waiting++
+	var parked int64 // start stamp of the latest park, for the await span
 	for {
 		if beforePark != nil {
 			beforePark()
 		}
-		// The phase timer stays inline: this loop runs once per wake-up,
-		// and the broadcast workloads wake every waiter on every change.
-		if h.profile {
-			t0 := time.Now()
-			c.Wait()
-			h.stats.AwaitNs += time.Since(t0).Nanoseconds()
-		} else {
-			c.Wait()
-		}
+		parked = h.spanStart()
+		c.Wait()
 		if w != nil && w.err != nil {
 			h.waiting--
 			h.in = true
@@ -295,7 +300,7 @@ func (h *condHost) condWait(ctx context.Context, deadline time.Time, what string
 		}
 		h.stats.FutileWakeups++
 		if h.rec != nil {
-			h.rec.Record(obs.KFutileWake, 0, 0)
+			h.rec.Record(obs.KFutileWake, 0, parked)
 		}
 	}
 	h.waiting--
@@ -305,7 +310,7 @@ func (h *condHost) condWait(ctx context.Context, deadline time.Time, what string
 		w.disarm()
 	}
 	if h.rec != nil {
-		h.rec.Record(obs.KClaim, 0, 0)
+		h.rec.Record(obs.KClaim, 0, parked)
 	}
 	h.observeWait(since, 0)
 	return nil
@@ -341,7 +346,7 @@ func (h *condHost) armOn(l *waitList, pred func() bool) *Wait {
 	w.pred = pred
 	h.seq++
 	w.seq = h.seq
-	w.since = time.Now().UnixNano()
+	w.since = obs.Now()
 	if h.pol != nil {
 		w.rank = h.pol.Rank(nil)
 	}

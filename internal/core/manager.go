@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/list"
-	"time"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -68,9 +67,10 @@ func (cm *condManager) getEntry(canon string, build func() (*entry, error)) (*en
 }
 
 // activate registers the entry in the predicate table and in the tag
-// structures (or the None list when tagging is disabled).
+// structures (or the None list when tagging is disabled). A recorded
+// KTag is the span of the update.
 func (cm *condManager) activate(e *entry) {
-	start := cm.m.profileStart()
+	start := cm.m.spanStart()
 	cm.table[e.canon] = e
 	e.active = true
 	seen := map[*tagNode]bool{}
@@ -102,7 +102,9 @@ func (cm *condManager) activate(e *entry) {
 		node.addEntry(e)
 		e.nodes = append(e.nodes, node)
 	}
-	cm.m.profileEndTag(start)
+	if r := cm.m.rec; r != nil {
+		r.Record(obs.KTag, 0, start)
+	}
 }
 
 // nodeFor finds or creates the tag node for tg in its shared-expression
@@ -154,12 +156,13 @@ func (g *sharedGroup) heapFor(op expr.Op) *tagHeap {
 // deactivate unregisters an entry with no remaining waiters. Static
 // (shared) predicates stay active forever; closure entries are discarded;
 // everything else is parked on the inactive list for reuse, evicting the
-// oldest entries past the configured limit.
+// oldest entries past the configured limit. A recorded KTag is the span
+// of the update.
 func (cm *condManager) deactivate(e *entry) {
 	if e.static || !e.active {
 		return
 	}
-	start := cm.m.profileStart()
+	start := cm.m.spanStart()
 	delete(cm.table, e.canon)
 	e.active = false
 	for _, n := range e.nodes {
@@ -190,7 +193,9 @@ func (cm *condManager) deactivate(e *entry) {
 			cm.m.stats.Evictions++
 		}
 	}
-	cm.m.profileEndTag(start)
+	if r := cm.m.rec; r != nil {
+		r.Record(obs.KTag, 0, start)
+	}
 }
 
 func (cm *condManager) removeNone(e *entry) {
@@ -210,13 +215,15 @@ func (cm *condManager) removeNone(e *entry) {
 // means an active waiter already exists (Definition 3 counts signaled
 // threads as active), so relay invariance holds without a second search —
 // and the signaled waiter itself relays again before it re-waits (Fig. 6),
-// or on the Exit/re-arm that ends its Claim, keeping the chain alive.
+// or on the Exit/re-arm that ends its Claim, keeping the chain alive. A
+// search that runs ends in a recorded KRelay, the span of the search and
+// the signal.
 func (cm *condManager) relaySignal() {
 	cm.m.stats.RelayCalls++
 	if cm.pending > 0 {
 		return
 	}
-	start := cm.m.profileStart()
+	start := cm.m.spanStart()
 	var w *Wait
 	if pol := cm.m.pol; pol != nil {
 		w = cm.policyPick(pol)
@@ -226,24 +233,30 @@ func (cm *condManager) relaySignal() {
 		// picks the waiter within it.
 		w = e.pickUnnotified(e.policy)
 	}
+	policyPicked := false
 	if w != nil {
 		w.viaRelay = true
 		cm.pending++
 		cm.m.stats.Signals++
-		policyPicked := cm.m.pol != nil || w.e.policy != nil
+		policyPicked = cm.m.pol != nil || w.e.policy != nil
 		if policyPicked {
 			cm.m.stats.PolicyWakes++
 		}
-		if r := cm.m.rec; r != nil {
+		cm.notify(w)
+	}
+	// The signal's own events follow the span, so it times the protocol
+	// and not the recorder; w cannot act on the signal before the monitor
+	// is released, so they still precede its claim.
+	if r := cm.m.rec; r != nil {
+		r.Record(obs.KRelay, 0, start)
+		if w != nil {
 			r.Record(obs.KSignal, w.seq, int64(cm.relayOrigin))
 			if policyPicked {
 				r.Record(obs.KPolicyWake, w.seq, w.rank)
 			}
 			cm.relayOrigin = 0 // baton handed to w; reset until its consume
 		}
-		cm.notify(w)
 	}
-	cm.m.profileEndRelay(start)
 }
 
 // policyPick is the exhaustive relay scan used when a monitor-wide wake
@@ -306,7 +319,7 @@ func (cm *condManager) register(w *Wait) {
 		w.seq = cm.m.seq
 	}
 	if w.since == 0 {
-		w.since = time.Now().UnixNano()
+		w.since = obs.Now()
 	}
 	if r := cm.m.rec; r != nil {
 		r.Record(obs.KArm, w.seq, w.rank)

@@ -369,14 +369,14 @@ func (m *Monitor) wait(ctx context.Context, deadline time.Time, e *entry, rank i
 		m.cm.relayOrigin = 0
 	}
 
+	var parked int64 // start stamp of the latest park, for the await span
 	for {
 		m.cm.relaySignal()
 		ready := w.ready
-		t0 := m.profileStart()
+		parked = m.spanStart()
 		m.mu.Unlock()
 		<-ready
 		m.mu.Lock()
-		m.profileEndAwait(t0)
 		if w.err != nil {
 			err := m.giveUp(w)
 			m.leave(w)
@@ -391,14 +391,14 @@ func (m *Monitor) wait(ctx context.Context, deadline time.Time, e *entry, rank i
 		}
 		m.stats.FutileWakeups++
 		if m.rec != nil {
-			m.rec.Record(obs.KFutileWake, w.seq, 0)
+			m.rec.Record(obs.KFutileWake, w.seq, parked)
 		}
 		m.rearmWaiter(w)
 	}
 	w.state = waitClaimed
 	w.disarm()
 	if m.rec != nil {
-		m.rec.Record(obs.KClaim, w.seq, 0)
+		m.rec.Record(obs.KClaim, w.seq, parked)
 	}
 	m.observeWait(w.since, w.seq)
 	m.cm.unregister(w)
@@ -507,35 +507,6 @@ func (m *Monitor) DebugCounts() (active, inactive, groups, none int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.cm.table), len(m.cm.inactive), len(m.cm.groups), len(m.cm.none)
-}
-
-// profileStart returns the phase start time when profiling is on.
-func (m *Monitor) profileStart() time.Time {
-	if !m.profile {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (m *Monitor) profileEndTag(t0 time.Time) {
-	if !m.profile || t0.IsZero() {
-		return
-	}
-	m.stats.TagMgmtNs += time.Since(t0).Nanoseconds()
-}
-
-func (m *Monitor) profileEndRelay(t0 time.Time) {
-	if !m.profile || t0.IsZero() {
-		return
-	}
-	m.stats.RelayNs += time.Since(t0).Nanoseconds()
-}
-
-func (m *Monitor) profileEndAwait(t0 time.Time) {
-	if !m.profile || t0.IsZero() {
-		return
-	}
-	m.stats.AwaitNs += time.Since(t0).Nanoseconds()
 }
 
 // ---------------------------------------------------------------------------

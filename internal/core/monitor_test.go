@@ -391,39 +391,11 @@ func TestTaggingAccessor(t *testing.T) {
 	}
 }
 
-func TestProfilingPopulatesTimers(t *testing.T) {
-	m := New(WithProfiling())
-	count := m.NewInt("count", 0)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		m.Enter()
-		_ = m.Await("count >= 1")
-		m.Exit()
-	}()
-	waitParked(t, m, 1)
-	m.Do(func() { count.Set(1) })
-	waitTimeout(t, 5*time.Second, "waiter", func() { <-done })
-	s := m.Stats()
-	if s.AwaitNs == 0 {
-		t.Error("AwaitNs not populated under profiling")
-	}
-	if s.RelayNs == 0 {
-		t.Error("RelayNs not populated under profiling")
-	}
-	if s.TagMgmtNs == 0 {
-		t.Error("TagMgmtNs not populated under profiling")
-	}
-	if !strings.Contains(s.Profile(), "relaySignal=") {
-		t.Errorf("Profile() = %q", s.Profile())
-	}
-}
-
 func TestStatsAddAndString(t *testing.T) {
-	a := Stats{Awaits: 1, Signals: 2, Wakeups: 3, AwaitNs: 10}
-	b := Stats{Awaits: 10, Signals: 20, Wakeups: 30, AwaitNs: 5}
+	a := Stats{Awaits: 1, Signals: 2, Wakeups: 3, RelayCalls: 10}
+	b := Stats{Awaits: 10, Signals: 20, Wakeups: 30, RelayCalls: 5}
 	sum := a.Add(b)
-	if sum.Awaits != 11 || sum.Signals != 22 || sum.Wakeups != 33 || sum.AwaitNs != 15 {
+	if sum.Awaits != 11 || sum.Signals != 22 || sum.Wakeups != 33 || sum.RelayCalls != 15 {
 		t.Errorf("Add = %+v", sum)
 	}
 	if sum.ContextSwitches() != 33 {

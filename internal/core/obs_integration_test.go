@@ -3,8 +3,10 @@ package core
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
+	"repro/internal/testutil"
 )
 
 // TestObsFoldsIntoStats pins the recorder integration shared by all
@@ -83,6 +85,55 @@ func TestObsFoldsIntoStats(t *testing.T) {
 		if kinds[k] == 0 {
 			t.Errorf("no %v events captured (kinds: %v)", k, kinds)
 		}
+	}
+}
+
+// TestSpansTimeTable1Phases pins the span events behind Table 1. One
+// parked Monitor wait records all four phases: the lock span of each
+// Enter, the await span of its claim, the relay span of the searches
+// around it, and the tag spans of activating and retiring its predicate
+// entry. An Explicit wait records lock and await, and no relay or tag
+// span: it has no condition manager. The recorder is process-global, so
+// no t.Parallel here.
+func TestSpansTimeTable1Phases(t *testing.T) {
+	obs.Start(1 << 10)
+	mon := New()
+	exp := NewExplicit()
+	obs.Stop()
+
+	count := mon.NewInt("count", 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		mon.Enter()
+		_ = mon.Await("count >= 1")
+		mon.Exit()
+	}()
+	waitParked(t, mon, 1)
+	mon.Do(func() { count.Set(1) })
+	waitTimeout(t, 5*time.Second, "monitor waiter", func() { <-done })
+	a := obs.Analyze(mon.rec.Snapshot(), 0)
+	if a.AwaitNs <= 0 || a.LockNs <= 0 || a.RelayNs <= 0 || a.TagNs <= 0 {
+		t.Errorf("monitor wait: await=%d lock=%d relay=%d tag=%d ns, want all > 0",
+			a.AwaitNs, a.LockNs, a.RelayNs, a.TagNs)
+	}
+
+	cond := exp.NewCond()
+	gate := false
+	done = make(chan struct{})
+	go func() {
+		defer close(done)
+		exp.Enter()
+		cond.Await(func() bool { return gate })
+		exp.Exit()
+	}()
+	testutil.WaitFor(t, 10*time.Second, 0, func() bool { return exp.Waiting() == 1 }, "explicit waiter parked")
+	exp.Do(func() { gate = true; cond.Signal() })
+	waitTimeout(t, 5*time.Second, "explicit waiter", func() { <-done })
+	a = obs.Analyze(exp.rec.Snapshot(), 0)
+	if a.AwaitNs <= 0 || a.LockNs <= 0 || a.RelayNs != 0 || a.TagNs != 0 {
+		t.Errorf("explicit wait: await=%d lock=%d relay=%d tag=%d ns, want await and lock > 0, relay = tag = 0",
+			a.AwaitNs, a.LockNs, a.RelayNs, a.TagNs)
 	}
 }
 

@@ -16,7 +16,6 @@ const DefaultInactiveLimit = 512
 
 type config struct {
 	tagging       bool
-	profile       bool
 	generated     bool
 	inactiveLimit int
 	dnfLimit      int
@@ -42,13 +41,6 @@ type Option func(*config)
 // the ablation baseline for tagging.
 func WithoutTagging() Option {
 	return func(c *config) { c.tagging = false }
-}
-
-// WithProfiling enables the nanosecond phase accounting used to reproduce
-// Table 1 (await / lock / relaySignal / tag-manager). It adds two clock
-// reads around each phase, so leave it off in throughput benchmarks.
-func WithProfiling() Option {
-	return func(c *config) { c.profile = true }
 }
 
 // WithoutGenerated disables generated-evaluator dispatch: Compile keeps

@@ -61,21 +61,16 @@ type Stats struct {
 	// monitor was constructed while a recorder was active.
 	ObsEvents uint64 // events published to the monitor's ring
 	ObsDrops  uint64 // events dropped by ring slot contention
-
-	// Profiling (populated only with WithProfiling): cumulative
-	// nanoseconds, the Table 1 breakdown.
-	AwaitNs   int64 // blocked in condition waits
-	LockNs    int64 // acquiring the monitor lock in Enter
-	RelayNs   int64 // inside relaySignal (search + signal)
-	TagMgmtNs int64 // maintaining tag structures (register/activate/deactivate)
 }
 
 // ContextSwitches returns the wake-up count, the Fig. 15 quantity.
 func (s Stats) ContextSwitches() uint64 { return s.Wakeups }
 
-// String renders a compact single-line summary. Together with Profile it
-// covers every field, a contract pinned by TestStatsCompleteness: a field
-// that neither renders would silently vanish from experiment output.
+// String renders a compact single-line summary. It covers every field, a
+// contract pinned by TestStatsCompleteness: a field it does not render
+// would silently vanish from experiment output. The time spent per phase
+// (Table 1) is not a counter: it comes from the flight recorder's span
+// events (obs.Analyze).
 func (s Stats) String() string {
 	out := fmt.Sprintf(
 		"awaits=%d fast=%d signals=%d broadcasts=%d wakeups=%d futile=%d relay=%d evals=%d tags=%d reg=%d reuse=%d",
@@ -106,13 +101,6 @@ func (s Stats) String() string {
 		out += fmt.Sprintf(" obs=%d obs-drops=%d", s.ObsEvents, s.ObsDrops)
 	}
 	return out
-}
-
-// Profile renders the Table 1 style time breakdown.
-func (s Stats) Profile() string {
-	return fmt.Sprintf("await=%v lock=%v relaySignal=%v tagMgr=%v",
-		time.Duration(s.AwaitNs), time.Duration(s.LockNs),
-		time.Duration(s.RelayNs), time.Duration(s.TagMgmtNs))
 }
 
 // Add merges two stats, used when aggregating several monitors of one
@@ -150,9 +138,5 @@ func (s Stats) Add(o Stats) Stats {
 		MaxWaitNs:      maxWait,
 		ObsEvents:      s.ObsEvents + o.ObsEvents,
 		ObsDrops:       s.ObsDrops + o.ObsDrops,
-		AwaitNs:        s.AwaitNs + o.AwaitNs,
-		LockNs:         s.LockNs + o.LockNs,
-		RelayNs:        s.RelayNs + o.RelayNs,
-		TagMgmtNs:      s.TagMgmtNs + o.TagMgmtNs,
 	}
 }

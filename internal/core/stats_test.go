@@ -20,11 +20,11 @@ var maxMerged = map[string]bool{
 //   - Add must propagate it with the right merge: counters sum (3+5 = 8),
 //     max-merged fields keep the maximum (max(3, 5) = 5). Either way, a
 //     field Add drops would come back 0 and fail both expectations.
-//   - String or Profile must render it: setting the field alone must
-//     change the combined text output.
+//   - String must render it: setting the field alone must change the
+//     text output.
 func TestStatsCompleteness(t *testing.T) {
 	typ := reflect.TypeOf(Stats{})
-	baseline := Stats{}.String() + "\n" + Stats{}.Profile()
+	baseline := Stats{}.String()
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 
@@ -58,8 +58,8 @@ func TestStatsCompleteness(t *testing.T) {
 			t.Errorf("Add mishandles field %s: merge(3, 5) = %d, want %d", f.Name, got, want)
 		}
 
-		if out := a.String() + "\n" + a.Profile(); out == baseline {
-			t.Errorf("field %s appears in neither String nor Profile", f.Name)
+		if a.String() == baseline {
+			t.Errorf("field %s does not appear in String", f.Name)
 		}
 	}
 }
@@ -68,8 +68,8 @@ func TestStatsCompleteness(t *testing.T) {
 // plain field-wise sum for counters and a field-wise max for MaxWaitNs,
 // both of which commute and have the zero value as identity.
 func TestStatsAddCommutes(t *testing.T) {
-	a := Stats{Awaits: 1, Wakeups: 2, RelayNs: 3, Abandons: 4, Evictions: 5, MaxWaitNs: 70}
-	b := Stats{Awaits: 10, Wakeups: 20, RelayNs: 30, Arms: 7, MaxWaitNs: 40}
+	a := Stats{Awaits: 1, Wakeups: 2, TagChecks: 3, Abandons: 4, Evictions: 5, MaxWaitNs: 70}
+	b := Stats{Awaits: 10, Wakeups: 20, TagChecks: 30, Arms: 7, MaxWaitNs: 40}
 	if a.Add(b) != b.Add(a) {
 		t.Error("Add is not commutative")
 	}

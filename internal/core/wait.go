@@ -122,9 +122,10 @@ type Wait struct {
 	// Wake-policy and give-up state. seq is the host-global arrival
 	// sequence and rank the registration-time policy rank — together the
 	// policy.Candidate the wake policy compares. since is the
-	// registration wall time feeding MaxWaitNs/Starved; timer the armed
-	// deadline item, if any, and stopCtx the context callback of a
-	// blocking wait that can be cancelled (see host.giveUpOn).
+	// registration stamp on the monotonic obs.Now clock, feeding
+	// MaxWaitNs/Starved; timer the armed deadline item, if any, and
+	// stopCtx the context callback of a blocking wait that can be
+	// cancelled (see host.giveUpOn).
 	seq     uint64
 	rank    int64
 	since   int64

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/problems"
 	"repro/internal/stats"
 )
@@ -253,27 +254,65 @@ func Fig15(cfg Config) Report {
 
 // Table1 reproduces the CPU-usage breakdown for the round-robin pattern
 // with 128 threads: time in await, lock acquisition, relaySignal, and tag
-// management, per mechanism.
+// management, per mechanism, read from the flight recorder's spans (see
+// Table1Run). Each row reports the ring drops and whether the ring
+// wrapped, because a lossy window undercounts its phases.
 func Table1(cfg Config) Report {
-	const threads = 128
 	mechs := []problems.Mechanism{problems.Explicit, problems.AutoSynchT, problems.AutoSynch}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "table1: CPU usage for the round-robin access pattern (%d threads, %d ops)\n", threads, cfg.TotalOps)
-	fmt.Fprintf(&sb, "%-12s %14s %14s %14s %14s %14s\n", "mechanism", "await", "lock", "relaySignal", "tagMgr", "relay %")
+	fmt.Fprintf(&sb, "table1: CPU usage for the round-robin access pattern (%d threads, %d ops), from recorder spans\n", table1Threads, cfg.TotalOps)
+	fmt.Fprintf(&sb, "%-12s %14s %14s %14s %14s %9s %7s %8s\n", "mechanism", "await", "lock", "relaySignal", "tagMgr", "relay %", "drops", "wrapped")
 	for _, mech := range mechs {
-		r := problems.RunRoundRobinProfiled(mech, threads, cfg.TotalOps)
-		s := r.Stats
-		total := s.AwaitNs + s.LockNs + s.RelayNs + s.TagMgmtNs
+		_, an, wrapped := Table1Run(mech, cfg.TotalOps)
+		total := an.AwaitNs + an.LockNs + an.RelayNs + an.TagNs
 		relayPct := 0.0
 		if total > 0 {
-			relayPct = 100 * float64(s.RelayNs) / float64(total)
+			relayPct = 100 * float64(an.RelayNs) / float64(total)
 		}
-		fmt.Fprintf(&sb, "%-12s %14s %14s %14s %14s %13.2f%%\n",
-			mech, time.Duration(s.AwaitNs), time.Duration(s.LockNs),
-			time.Duration(s.RelayNs), time.Duration(s.TagMgmtNs), relayPct)
+		fmt.Fprintf(&sb, "%-12s %14s %14s %14s %14s %8.2f%% %7d %8t\n",
+			mech, time.Duration(an.AwaitNs), time.Duration(an.LockNs),
+			time.Duration(an.RelayNs), time.Duration(an.TagNs), relayPct, an.Drops, wrapped)
 	}
-	sb.WriteString("expected shape: tagging cuts relaySignal time by an order of magnitude or more vs. autosynch-t, at a small tagMgr cost (paper: −95%).\n")
+	sb.WriteString("expected shape: tagging cuts relaySignal time vs. autosynch-t (paper: −95%) and pays for it in tagMgr time.\n")
 	return textReport("table1", sb.String())
+}
+
+// table1Threads is the thread count of the paper's Table 1 run, and
+// table1EventsPerOp bounds the events one of its turns records, so a
+// recorder Table1Run starts holds the whole run without wrapping. A turn
+// that parks on an automatic monitor records nine at most: enter, arm,
+// the tag span of activating its entry, a pre-park relay search, claim,
+// the tag span of retiring the entry, exit, and the exit's relay search
+// with its signal. Explicit records four.
+const (
+	table1Threads     = 128
+	table1EventsPerOp = 10
+)
+
+// Table1Run is one row of Table 1: ops round-robin turns at 128 threads
+// on mech, run under the flight recorder, and the analysis of the spans
+// its monitor recorded. It uses the active recorder if there is one (the
+// CLI's -trace); otherwise it starts one sized for the run and stops it
+// afterwards. Only the rings the run created are analyzed, but the
+// recorder is process-global: a monitor another goroutine builds during
+// the run lands in the analysis too. wrapped reports whether a ring
+// overwrote events, leaving the analysis only its latest window.
+func Table1Run(mech problems.Mechanism, ops int) (r problems.Result, an obs.Analysis, wrapped bool) {
+	rec := obs.Active()
+	if rec == nil {
+		rec = obs.Start(table1EventsPerOp * max(ops, table1Threads))
+		defer obs.Stop()
+	}
+	before := len(rec.Rings())
+	r = problems.RunRoundRobin(mech, table1Threads, ops)
+	var events []obs.Event
+	var drops uint64
+	for _, ring := range rec.Rings()[before:] {
+		events = append(events, ring.Snapshot()...)
+		drops += ring.Drops()
+		wrapped = wrapped || ring.Writes() > uint64(ring.Cap())
+	}
+	return r, obs.Analyze(events, drops), wrapped
 }
 
 // AblationTagKinds measures the relay search cost per tag kind: waiters
@@ -443,10 +482,7 @@ func runParamBBLimit(limit, consumers, totalOps int) problems.Result {
 // package links), and the closure form is the tag-opaque reference
 // point. The interpreter arms opt out of generated dispatch with
 // WithoutGenerated — the registration is process-global, so without the
-// opt-out they would silently measure the generated path too. The run is
-// unprofiled: the Table-1 phase timers cost more per wait than the whole
-// evaluator and would drown the arms' differences (the benchmark's
-// -profiled variants cover that view).
+// opt-out they would silently measure the generated path too.
 func AblationCompiledPredicates(cfg Config) Report {
 	const pred = "count + k <= cap || stop"
 	type mode struct {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 )
 
 // A Chain is one reconstructed wake chain: the causal path a wake-up
@@ -123,7 +124,8 @@ func Chains(events []Event) []*Chain {
 const StormLen = 8
 
 // Analysis summarizes an event window: the chain population, how chains
-// end, and how much of the signal traffic was futile. Every field is
+// end, how much of the signal traffic was futile, and where the time
+// went — the span totals of the paper's Table 1. Every field is
 // rendered by String; the completeness test in this package enforces
 // that, so a field added here cannot silently vanish from reports.
 type Analysis struct {
@@ -146,6 +148,13 @@ type Analysis struct {
 	FutileWakes  int     // wake-ups that re-parked
 	FutileClaims int     // claims that re-armed
 	FutileRatio  float64 // (FutileWakes+FutileClaims) / Signals
+
+	// Phase totals in nanoseconds, summed over the span events. A trace
+	// recorded before spans existed reads with all four zero.
+	AwaitNs int64 // parked in blocking waits: KClaim and KFutileWake spans
+	LockNs  int64 // acquiring the monitor lock: KEnter spans
+	RelayNs int64 // relay searches and their signals: KRelay spans
+	TagNs   int64 // tag-structure maintenance: KTag spans
 }
 
 // Analyze reconstructs chains from the events and summarizes them.
@@ -185,18 +194,42 @@ func Analyze(events []Event, drops uint64) Analysis {
 	if a.Signals > 0 {
 		a.FutileRatio = float64(a.FutileWakes+a.FutileClaims) / float64(a.Signals)
 	}
+	for _, ev := range events {
+		switch ev.Kind {
+		case KClaim, KFutileWake:
+			a.AwaitNs += span(ev)
+		case KEnter:
+			a.LockNs += span(ev)
+		case KRelay:
+			a.RelayNs += span(ev)
+		case KTag:
+			a.TagNs += span(ev)
+		}
+	}
 	return a
 }
 
-// String renders the analysis on two lines: the chain population and
-// shape, then the outcome and futility accounting. Every Analysis field
-// appears.
+// span returns the length of a span event, TS − Arg, or 0 when the event
+// carries no start stamp: a handle claim, or a trace recorded before
+// spans existed.
+func span(ev Event) int64 {
+	if ev.Arg == 0 {
+		return 0
+	}
+	return ev.TS - ev.Arg
+}
+
+// String renders the analysis on three lines: the chain population and
+// shape, the outcome and futility accounting, then the phase totals.
+// Every Analysis field appears.
 func (a Analysis) String() string {
 	return fmt.Sprintf(
 		"events=%d drops=%d chains=%d signals=%d hops=%d max-len=%d mean-len=%.2f storms=%d open=%d\n"+
-			"claimed=%d cancelled=%d expired=%d policy-wakes=%d futile-wakes=%d futile-claims=%d futile-ratio=%.3f",
+			"claimed=%d cancelled=%d expired=%d policy-wakes=%d futile-wakes=%d futile-claims=%d futile-ratio=%.3f\n"+
+			"await=%v lock=%v relay=%v tag=%v",
 		a.Events, a.Drops, a.Chains, a.Signals, a.Hops, a.MaxLen, a.MeanLen, a.Storms, a.OpenEnded,
-		a.Claimed, a.Cancelled, a.Expired, a.PolicyWakes, a.FutileWakes, a.FutileClaims, a.FutileRatio)
+		a.Claimed, a.Cancelled, a.Expired, a.PolicyWakes, a.FutileWakes, a.FutileClaims, a.FutileRatio,
+		time.Duration(a.AwaitNs), time.Duration(a.LockNs), time.Duration(a.RelayNs), time.Duration(a.TagNs))
 }
 
 // LengthTable renders the chain-length distribution with per-bucket

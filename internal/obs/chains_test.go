@@ -181,6 +181,35 @@ func TestAnalyze(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSpans pins the phase totals behind Table 1: every span
+// event adds TS − Arg to its phase, and an event with no start stamp (a
+// handle claim, a trace recorded before spans) adds nothing. Arg of the
+// non-span kinds is not a stamp and must not leak into any phase.
+func TestAnalyzeSpans(t *testing.T) {
+	a := Analyze([]Event{
+		ev(100, KEnter, 0, 0, 90),       // lock 10
+		ev(150, KEnter, 0, 0, 0),        // no stamp
+		ev(300, KFutileWake, 0, 5, 250), // await 50
+		ev(400, KClaim, 0, 5, 330),      // await 70
+		ev(410, KClaim, 0, 6, 0),        // handle claim: never parked
+		ev(500, KRelay, 0, 0, 497),      // relay 3
+		ev(600, KTag, 0, 0, 580),        // tag 20
+		ev(700, KTag, 1, 0, 695),        // tag 5, on another monitor
+		ev(800, KStarved, 0, 5, 1000),   // Arg is a wait duration
+		ev(900, KSignal, 0, 7, 5),       // Arg is a relay origin
+		ev(950, KPolicyWake, 0, 7, 40),  // Arg is a policy rank
+	}, 0)
+	if a.LockNs != 10 || a.AwaitNs != 120 || a.RelayNs != 3 || a.TagNs != 25 {
+		t.Fatalf("phases: lock=%d await=%d relay=%d tag=%d, want 10 120 3 25",
+			a.LockNs, a.AwaitNs, a.RelayNs, a.TagNs)
+	}
+	for _, want := range []string{"await=120ns", "lock=10ns", "relay=3ns", "tag=25ns"} {
+		if !strings.Contains(a.String(), want) {
+			t.Errorf("String lacks %q:\n%s", want, a)
+		}
+	}
+}
+
 // TestAnalysisStringComplete is the obs-side completeness gate the ISSUE
 // asks for: every Analysis field must be visible in String(), so a
 // counter added to the analysis cannot silently vanish from reports.
@@ -192,7 +221,7 @@ func TestAnalysisStringComplete(t *testing.T) {
 		a := Analysis{}
 		fv := reflect.ValueOf(&a).Elem().Field(i)
 		switch f.Type.Kind() {
-		case reflect.Int:
+		case reflect.Int, reflect.Int64:
 			fv.SetInt(7)
 		case reflect.Uint64:
 			fv.SetUint(7)

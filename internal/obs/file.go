@@ -88,16 +88,22 @@ func readTrace(r io.Reader) ([]Event, uint64, error) {
 	if count > maxEvents {
 		return nil, 0, fmt.Errorf("implausible event count %d", count)
 	}
-	evs := make([]Event, count)
+	// The count is the header's claim, not yet backed by any record:
+	// preallocate at most a small window and let the slice grow as
+	// records arrive, so a short file cannot make the reader allocate
+	// for events it does not hold.
+	evs := make([]Event, 0, min(count, 1<<12))
 	var rec [32]byte
-	for i := range evs {
+	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
 			return nil, 0, fmt.Errorf("event %d of %d: %w", i, count, err)
 		}
-		unmarshalEvent(&evs[i], &rec)
-		if !evs[i].Kind.Valid() {
-			return nil, 0, fmt.Errorf("event %d: invalid kind %d", i, uint8(evs[i].Kind))
+		var ev Event
+		unmarshalEvent(&ev, &rec)
+		if !ev.Kind.Valid() {
+			return nil, 0, fmt.Errorf("event %d: invalid kind %d", i, uint8(ev.Kind))
 		}
+		evs = append(evs, ev)
 	}
 	return evs, drops, nil
 }

@@ -19,6 +19,14 @@
 // counted in Drops — flight-recorder semantics, where the most recent
 // window survives and loss is measured rather than prevented.
 //
+// The recorder is also the runtime's only timing instrument. A few kinds
+// are spans: the event carries its start stamp in Arg, taken from the
+// same clock as TS (Now), so TS − Arg is the span's length. The monitor
+// takes a start stamp only while it records, so spans cost the disabled
+// path nothing beyond its nil check. Analyze sums the spans into the
+// paper's Table 1 phases: await (KClaim, KFutileWake), lock (KEnter),
+// relay search (KRelay) and tag maintenance (KTag).
+//
 // Chains (chains.go) reconstructs signal→relay→claim causality from an
 // event stream; WriteFile/ReadFile (file.go) persist the binary dump
 // behind the CLIs' -trace flags; Registry (registry.go) is the
@@ -42,7 +50,9 @@ type Kind uint8
 // arrival sequence where one is involved (0 otherwise); Arg is
 // kind-specific and documented per constant.
 const (
-	// KEnter and KExit bracket one monitor occupancy. Arg unused.
+	// KEnter and KExit bracket one monitor occupancy. KEnter is a span:
+	// Arg is the stamp taken before the monitor lock was requested, so
+	// TS − Arg is the lock acquisition. KExit's Arg is unused.
 	KEnter Kind = iota + 1
 	KExit
 	// KSignal is one relay (or explicit) signal: Seq is the signaled
@@ -56,13 +66,17 @@ const (
 	// Arg is the registration-time policy rank.
 	KArm
 	// KClaim is a completed wait: a successful handle Claim or a blocking
-	// wait whose predicate held on wake-up. Arg unused.
+	// wait whose predicate held on wake-up. For a blocking wait it is a
+	// span: Arg is the stamp taken when its last park began, so TS − Arg
+	// is the time it spent parked. A handle claim does not park; its Arg
+	// is 0.
 	KClaim
 	// KFutileClaim is a Claim that found the predicate falsified; the
 	// handle was re-armed. Arg unused.
 	KFutileClaim
 	// KFutileWake is a wake-up that found the predicate still false;
-	// the waiter re-parked. Arg unused.
+	// the waiter re-parked. A span like KClaim: Arg is the stamp taken
+	// when the park it woke from began.
 	KFutileWake
 	// KCancel is an abandoned waiter: context cancellation, handle
 	// Cancel, or the unwind of an expiry. Arg unused.
@@ -79,6 +93,14 @@ const (
 	// KCounterPublish is one shard.Counter batch publication: Seq is the
 	// publishing shard index, Arg the published delta.
 	KCounterPublish
+	// KRelay is one relay search that ran (no signal was pending). A
+	// span: Arg is the stamp taken when the search began, so TS − Arg
+	// covers the search and, when it found a waiter, the signal.
+	KRelay
+	// KTag is one tag-structure update: a predicate entry activated into,
+	// or deactivated from, the predicate table and its tag structures. A
+	// span: Arg is the stamp taken when the update began.
+	KTag
 
 	kindMax // sentinel: first invalid kind
 )
@@ -112,6 +134,10 @@ func (k Kind) String() string {
 		return "broadcast"
 	case KCounterPublish:
 		return "counter-publish"
+	case KRelay:
+		return "relay"
+	case KTag:
+		return "tag"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -136,9 +162,10 @@ type Event struct {
 // clock, so TS is immune to wall-clock jumps.
 var epoch = time.Now()
 
-// now returns the event timestamp. Kept minimal: one monotonic clock
-// read, no allocation.
-func now() int64 { return int64(time.Since(epoch)) }
+// Now returns the recorder's clock: monotonic nanoseconds since the
+// package initialized, the clock of Event.TS and of span start stamps.
+// One monotonic clock read, no allocation.
+func Now() int64 { return int64(time.Since(epoch)) }
 
 // slot is one ring cell. stamp encodes the publication protocol:
 //
@@ -197,8 +224,10 @@ func (r *Ring) Writes() uint64 { return r.head.Load() - r.drops.Load() }
 
 // Record appends one event. Never blocks: a slot owned by a concurrent
 // writer drops the event and counts it. Safe for any number of
-// concurrent writers.
+// concurrent writers. The timestamp is read before the slot is claimed,
+// so a span ending at this event does not include the ring write.
 func (r *Ring) Record(kind Kind, seq uint64, arg int64) {
+	ts := Now()
 	t := r.head.Add(1) - 1
 	s := &r.slots[t&r.mask]
 	old := s.stamp.Load()
@@ -206,7 +235,7 @@ func (r *Ring) Record(kind Kind, seq uint64, arg int64) {
 		r.drops.Add(1)
 		return
 	}
-	s.ts.Store(uint64(now()))
+	s.ts.Store(uint64(ts))
 	s.seq.Store(seq)
 	s.arg.Store(uint64(arg))
 	s.mk.Store(uint64(r.id)<<8 | uint64(kind))

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"encoding/binary"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -227,6 +229,27 @@ func TestReadFileRejectsGarbage(t *testing.T) {
 	}
 	if _, _, err := ReadFile(path); err == nil {
 		t.Fatalf("garbage accepted")
+	}
+
+	// A valid header claiming 2^27 events with no records behind it must
+	// fail on the missing records, without first allocating for the
+	// claimed count (4 GiB).
+	hdr := make([]byte, 24)
+	copy(hdr, fileMagic[:])
+	binary.LittleEndian.PutUint32(hdr[4:8], fileVersion)
+	binary.LittleEndian.PutUint64(hdr[16:24], 1<<27)
+	if err := writeRaw(path, hdr); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFile(path)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("header-only trace claiming 2^27 events accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("reading a header-only trace allocated %d bytes, want < 1 MiB", alloc)
 	}
 }
 

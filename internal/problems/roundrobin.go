@@ -47,29 +47,8 @@ func RunRoundRobin(mech Mechanism, threads, totalOps int) Result {
 	}
 }
 
-// RunRoundRobinProfiled runs the automatic variants with the Table 1 phase
-// timers enabled, and the explicit variant with lock/await timing.
-func RunRoundRobinProfiled(mech Mechanism, threads, totalOps int) Result {
-	rounds := totalOps / threads
-	if rounds == 0 {
-		rounds = 1
-	}
-	switch mech {
-	case Explicit:
-		return runRRExplicitOpts(threads, rounds, core.WithProfiling())
-	case Baseline:
-		return runRRBaseline(threads, rounds)
-	default:
-		return runRRAutoOpts(mech, threads, rounds, core.WithProfiling())
-	}
-}
-
 func runRRExplicit(threads, rounds int) Result {
-	return runRRExplicitOpts(threads, rounds)
-}
-
-func runRRExplicitOpts(threads, rounds int, opts ...core.Option) Result {
-	m := core.NewExplicit(opts...)
+	m := core.NewExplicit()
 	conds := make([]*core.Cond, threads)
 	for i := range conds {
 		conds[i] = m.NewCond()
@@ -119,11 +98,7 @@ func runRRBaseline(threads, rounds int) Result {
 }
 
 func runRRAuto(mech Mechanism, threads, rounds int) Result {
-	return runRRAutoOpts(mech, threads, rounds)
-}
-
-func runRRAutoOpts(mech Mechanism, threads, rounds int, opts ...core.Option) Result {
-	m := newAuto(mech, opts...)
+	m := newAuto(mech)
 	turn := m.NewInt("turn", 0)
 	n := int64(threads)
 	myTurn := m.MustCompile("turn == id")

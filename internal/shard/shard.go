@@ -38,8 +38,8 @@ type config struct {
 // Option configures New.
 type Option func(*config)
 
-// WithMonitorOptions passes core options (WithoutTagging, WithProfiling,
-// …) to every inner monitor, and to the summary monitors of counters
+// WithMonitorOptions passes core options (WithoutTagging, WithPolicy, …)
+// to every inner monitor, and to the summary monitors of counters
 // created later.
 func WithMonitorOptions(opts ...core.Option) Option {
 	return func(c *config) { c.monOpts = append(c.monOpts, opts...) }

@@ -12,8 +12,8 @@ import (
 // default state — monitors built with no active recorder carry a nil
 // ring, so every would-be event site is one predictable branch — and
 // must be indistinguishable from the pre-recorder baseline. The enabled
-// arm pays two ring writes per operation (enter and exit) and bounds the
-// cost of tracing a run:
+// arm pays three ring writes per operation (enter, exit, and the exit's
+// relay search) and bounds the cost of tracing a run:
 //
 //	go test -bench ObsNoParkWait -benchmem
 func BenchmarkObsNoParkWait(b *testing.B) {
@@ -21,12 +21,12 @@ func BenchmarkObsNoParkWait(b *testing.B) {
 		if obs.Active() != nil {
 			b.Fatal("recorder unexpectedly active")
 		}
-		benchAwaitMode(b, "compiled", false)
+		benchAwaitMode(b, "compiled")
 	})
 	b.Run("enabled", func(b *testing.B) {
 		obs.Start(obs.DefaultRingSize)
 		defer obs.Stop()
-		benchAwaitMode(b, "compiled", false)
+		benchAwaitMode(b, "compiled")
 	})
 }
 
@@ -45,7 +45,7 @@ func TestObsDisabledNoParkGuard(t *testing.T) {
 	if obs.Active() != nil {
 		t.Fatal("recorder unexpectedly active at test start")
 	}
-	disabled := testing.Benchmark(func(b *testing.B) { benchAwaitMode(b, "compiled", false) })
+	disabled := testing.Benchmark(func(b *testing.B) { benchAwaitMode(b, "compiled") })
 	if a := disabled.AllocsPerOp(); a != 0 {
 		t.Errorf("obs-disabled no-park wait allocates %d allocs/op, want 0", a)
 	}
@@ -55,7 +55,7 @@ func TestObsDisabledNoParkGuard(t *testing.T) {
 	}
 
 	obs.Start(obs.DefaultRingSize)
-	enabled := testing.Benchmark(func(b *testing.B) { benchAwaitMode(b, "compiled", false) })
+	enabled := testing.Benchmark(func(b *testing.B) { benchAwaitMode(b, "compiled") })
 	obs.Stop()
 	t.Logf("no-park wait: disabled %dns/op %dallocs/op, enabled %dns/op %dallocs/op",
 		disabled.NsPerOp(), disabled.AllocsPerOp(), enabled.NsPerOp(), enabled.AllocsPerOp())

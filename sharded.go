@@ -35,7 +35,7 @@ func NewSharded(n int, opts ...ShardOption) *Sharded { return shard.New(n, opts.
 func WithShardSetup(fn func(shard int, m *Monitor)) ShardOption { return shard.WithSetup(fn) }
 
 // WithShardMonitorOptions passes core options (WithoutTagging,
-// WithProfiling, …) to every inner monitor and to counter summaries.
+// WithPolicy, …) to every inner monitor and to counter summaries.
 func WithShardMonitorOptions(opts ...Option) ShardOption {
 	return shard.WithMonitorOptions(opts...)
 }
