@@ -395,6 +395,43 @@ func BenchmarkAblationTagKinds(b *testing.B) {
 	}
 }
 
+// BenchmarkRelayIdleGroups prices the relay search's walk over groups.
+// One op is one Enter/Exit on a monitor that holds hot groups, each with
+// one armed handle whose predicate never holds, beside idle groups, each
+// a static predicate armed and cancelled once, so it keeps its group
+// with no waiter. The search should pay for the hot groups only:
+//
+//	go test -run xxx -bench 'RelayIdleGroups' -benchmem
+func BenchmarkRelayIdleGroups(b *testing.B) {
+	for _, c := range []struct{ hot, idle int }{{1, 0}, {512, 0}, {0, 2048}, {512, 2048}} {
+		b.Run(fmt.Sprintf("hot=%d/idle=%d", c.hot, c.idle), func(b *testing.B) {
+			m := autosynch.New()
+			handles := make([]*autosynch.Wait, c.hot)
+			for i := range handles {
+				m.NewInt(fmt.Sprintf("s%d", i), 0)
+				handles[i] = m.MustCompile(fmt.Sprintf("s%d == 1", i)).Arm()
+			}
+			for j := 0; j < c.idle; j++ {
+				m.NewInt(fmt.Sprintf("t%d", j), 0)
+				m.MustCompile(fmt.Sprintf("t%d >= 1", j)).Arm().Cancel()
+			}
+			if got := m.Waiting(); got != c.hot {
+				b.Fatalf("Waiting() = %d, want %d", got, c.hot)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Enter()
+				m.Exit()
+			}
+			b.StopTimer()
+			for _, w := range handles {
+				w.Cancel()
+			}
+		})
+	}
+}
+
 // BenchmarkAblationInactiveList compares predicate-cache settings on the
 // parameterized buffer, whose 128 batch predicates recur constantly.
 func BenchmarkAblationInactiveList(b *testing.B) {

@@ -37,7 +37,7 @@
 //
 // One Monitor is one lock and one condition manager: every entry and
 // exit serializes, and the relay search on each exit considers every
-// shared-expression group with a signalable waiter. Predicate tagging
+// shared-expression group with a waiter. Predicate tagging
 // makes the search within a group O(1)-ish, but it cannot prune across
 // groups — a monitor carrying N independent waiting conditions (per-key
 // watchers, per-session completion waits) pays an O(N) sweep on every

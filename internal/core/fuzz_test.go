@@ -145,6 +145,7 @@ func TestFuzzMixedPredicateShapes(t *testing.T) {
 			if active > 40 { // static predicates only; bounded by distinct shapes
 				t.Errorf("active entries after quiescence = %d", active)
 			}
+			checkHotList(t, m)
 		})
 	}
 }

@@ -20,7 +20,9 @@ type condManager struct {
 	lru      *list.List        // inactive entries, most recently parked at the front
 
 	groups map[string]*sharedGroup // tag structures by canonical shared expression
+	hot    []*sharedGroup          // groups with waiters, the relay search's walk
 	none   []*entry                // entries needing exhaustive search
+	backup []*tagNode              // searchHeap's popped roots, reused (searches never nest)
 
 	pending int // signals issued and not yet consumed by a woken or claiming waiter
 
@@ -119,6 +121,7 @@ func (cm *condManager) nodeFor(tg tag.Tag) *tagNode {
 		g = &sharedGroup{
 			exprStr: tg.Expr,
 			eval:    eval,
+			hotIdx:  -1,
 			equiv:   map[int64]*tagNode{},
 			minHeap: tagHeap{min: true},
 			maxHeap: tagHeap{min: false},
@@ -329,14 +332,20 @@ func (cm *condManager) register(w *Wait) {
 	e.waiters = append(e.waiters, w)
 	e.unnotified++
 	for _, n := range e.nodes {
-		n.group.waiters++
+		g := n.group
+		if g.waiters == 0 {
+			g.hotIdx = len(cm.hot)
+			cm.hot = append(cm.hot, g)
+		}
+		g.waiters++
 	}
 	cm.m.waiting++
 }
 
 // unregister detaches a waiter from its entry. An entry's node set is
 // stable while it has waiters (deactivation requires an empty waiter
-// list), so the group bookkeeping is exact.
+// list), so the group bookkeeping is exact: a group leaves the hot list
+// when its last waiter does, and a swap-remove fills its slot.
 func (cm *condManager) unregister(w *Wait) {
 	e := w.e
 	last := len(e.waiters) - 1
@@ -350,24 +359,32 @@ func (cm *condManager) unregister(w *Wait) {
 		e.unnotified--
 	}
 	for _, n := range e.nodes {
-		n.group.waiters--
+		g := n.group
+		g.waiters--
+		if g.waiters == 0 {
+			end := len(cm.hot) - 1
+			tail := cm.hot[end]
+			cm.hot[g.hotIdx] = tail
+			tail.hotIdx = g.hotIdx
+			cm.hot[end] = nil
+			cm.hot = cm.hot[:end]
+			g.hotIdx = -1
+		}
 	}
 	cm.m.waiting--
 }
 
 // findTrue locates a signalable entry whose predicate currently holds.
-// With tagging, equivalence hash tables are probed first, then the
-// threshold heaps, and only then the None list (§4.3.2); without tagging
-// every entry in the None list (which then holds all of them) is scanned.
+// With tagging it walks only the groups that have waiters, in hot-list
+// order: a group joins at the end when it gains a waiter, and when it
+// loses its last one the list's last group takes its slot. The pick is
+// thus a function of the operation sequence alone. In each group the
+// equivalence hash table is probed first, then the threshold heaps; the
+// None list comes last (§4.3.2). Without tagging every entry in the None
+// list (which then holds all of them) is scanned.
 func (cm *condManager) findTrue() *entry {
 	if cm.m.cfg.tagging {
-		for _, g := range cm.groups {
-			// Groups whose entries have no signalable waiters (e.g. the
-			// permanently registered static predicates of an idle
-			// problem) are skipped without evaluating the expression.
-			if g.waiters == 0 {
-				continue
-			}
+		for _, g := range cm.hot {
 			v := g.eval()
 			if node, ok := g.equiv[v]; ok {
 				cm.m.stats.TagChecks++
@@ -410,7 +427,7 @@ func (cm *condManager) searchHeap(h *tagHeap, v int64) *entry {
 	if h.Len() == 0 {
 		return nil
 	}
-	var backup []*tagNode
+	cm.backup = cm.backup[:0]
 	var found *entry
 	for h.Len() > 0 {
 		root := h.root()
@@ -422,10 +439,11 @@ func (cm *condManager) searchHeap(h *tagHeap, v int64) *entry {
 			found = e
 			break
 		}
-		backup = append(backup, h.popRoot())
+		cm.backup = append(cm.backup, h.popRoot())
 	}
-	for _, b := range backup {
+	for _, b := range cm.backup {
 		h.push(b)
 	}
+	clear(cm.backup)
 	return found
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -276,6 +277,7 @@ func TestGroupsCleanedUp(t *testing.T) {
 	if _, inactive, groups, _ := m.DebugCounts(); groups != 0 || inactive != 1 {
 		t.Errorf("groups=%d inactive=%d after wait, want 0/1", groups, inactive)
 	}
+	checkHotList(t, m)
 }
 
 func TestConcurrentDistinctPredicates(t *testing.T) {
@@ -321,6 +323,7 @@ func TestConcurrentDistinctPredicates(t *testing.T) {
 		}
 		wg.Wait()
 	})
+	checkHotList(t, m)
 }
 
 func TestDebugCountsShape(t *testing.T) {
@@ -392,6 +395,158 @@ func TestHeapStressManyKeys(t *testing.T) {
 		}
 		wg.Wait()
 	})
+	checkHotList(t, m)
+}
+
+// checkHotList asserts the hot-list invariant of the condition manager:
+// cm.hot holds exactly the groups of cm.groups that have waiters, each
+// once and at its own hotIdx, and every other group has hotIdx -1.
+func checkHotList(t *testing.T, m *Monitor) {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	listed := map[*sharedGroup]bool{}
+	for i, g := range m.cm.hot {
+		if listed[g] {
+			t.Errorf("group %q is on the hot list twice", g.exprStr)
+		}
+		listed[g] = true
+		if g.hotIdx != i {
+			t.Errorf("group %q at hot slot %d has hotIdx %d", g.exprStr, i, g.hotIdx)
+		}
+		if m.cm.groups[g.exprStr] != g {
+			t.Errorf("hot group %q is not in the group index", g.exprStr)
+		}
+	}
+	for _, g := range m.cm.groups {
+		switch {
+		case g.waiters > 0 && !listed[g]:
+			t.Errorf("group %q has %d waiters but is not on the hot list", g.exprStr, g.waiters)
+		case g.waiters == 0 && listed[g]:
+			t.Errorf("group %q has no waiters but is on the hot list", g.exprStr)
+		case !listed[g] && g.hotIdx != -1:
+			t.Errorf("group %q is off the hot list with hotIdx %d", g.exprStr, g.hotIdx)
+		}
+	}
+}
+
+// hotGroups returns the length of the hot list.
+func hotGroups(m *Monitor) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.cm.hot)
+}
+
+// TestHotListSkipsColdGroups: a static predicate keeps its group after
+// its only waiter leaves, but a group without waiters is off the hot
+// list, so the relay search never steps over it.
+func TestHotListSkipsColdGroups(t *testing.T) {
+	m := New()
+	const cold = 2048
+	cells := make([]*IntCell, cold)
+	for j := range cells {
+		cells[j] = m.NewInt(fmt.Sprintf("t%d", j), 0)
+	}
+	for j := range cells {
+		m.MustCompile(fmt.Sprintf("t%d >= 1", j)).Arm().Cancel()
+	}
+	if _, _, groups, _ := m.DebugCounts(); groups != cold {
+		t.Errorf("groups = %d after arm and cancel, want %d", groups, cold)
+	}
+	if n := hotGroups(m); n != 0 {
+		t.Errorf("hot groups = %d with no waiter, want 0", n)
+	}
+	checkHotList(t, m)
+
+	d := startWaiter(t, m, "t7 >= 1")
+	if n := hotGroups(m); n != 1 {
+		t.Errorf("hot groups = %d with one parked waiter, want 1", n)
+	}
+	checkHotList(t, m)
+	m.Do(func() { cells[7].Set(1) })
+	waitTimeout(t, 5*time.Second, "parked waiter", func() { <-d })
+	if n := hotGroups(m); n != 0 {
+		t.Errorf("hot groups = %d after the claim, want 0", n)
+	}
+	if _, _, groups, _ := m.DebugCounts(); groups != cold {
+		t.Errorf("groups = %d after the claim, want %d", groups, cold)
+	}
+	checkHotList(t, m)
+}
+
+// TestRelayOrderReplays: the relay search's pick depends only on the
+// operation sequence. 64 handles on distinct static predicates turn true
+// in one Do; the single relay signal then visits them one claim at a
+// time, and two fresh monitors must visit them in the same order.
+func TestRelayOrderReplays(t *testing.T) {
+	claimOrder := func() []int {
+		m := New()
+		const n = 64
+		cells := make([]*IntCell, n)
+		ws := make([]*Wait, n)
+		for i := range cells {
+			cells[i] = m.NewInt(fmt.Sprintf("s%d", i), 0)
+			ws[i] = m.MustCompile(fmt.Sprintf("s%d >= 1", i)).Arm()
+		}
+		m.Do(func() {
+			for _, c := range cells {
+				c.Set(1)
+			}
+		})
+		var order []int
+		for len(order) < n {
+			claimed := false
+			for i, w := range ws {
+				if w == nil {
+					continue
+				}
+				select {
+				case <-w.Ready():
+				default:
+					continue
+				}
+				if err := w.Claim(); err != nil {
+					t.Fatalf("Claim s%d: %v", i, err)
+				}
+				m.Exit()
+				order = append(order, i)
+				ws[i] = nil
+				claimed = true
+			}
+			if !claimed {
+				t.Fatalf("no handle ready after %d claims", len(order))
+			}
+		}
+		checkHotList(t, m)
+		return order
+	}
+	if a, b := claimOrder(), claimOrder(); !slices.Equal(a, b) {
+		t.Errorf("claim orders differ:\n%v\n%v", a, b)
+	}
+}
+
+// TestSearchHeapPopAllocFree: a threshold root that holds but has no
+// signalable waiter (its handle took a free notification at arm) is
+// popped and reinserted by every relay search. The pop list is reused,
+// so an Enter/Exit over it allocates nothing.
+func TestSearchHeapPopAllocFree(t *testing.T) {
+	m := New()
+	m.NewInt("x", 1)
+	w := m.MustCompile("x >= 1").Arm()
+	select {
+	case <-w.Ready():
+	default:
+		t.Fatal("handle on a true predicate not notified at arm")
+	}
+	before := m.Stats().TagChecks
+	if a := testing.AllocsPerRun(100, func() { m.Enter(); m.Exit() }); a != 0 {
+		t.Errorf("Enter/Exit over a popped heap root allocates %v, want 0", a)
+	}
+	if m.Stats().TagChecks == before {
+		t.Error("no relay search examined the heap root")
+	}
+	w.Cancel()
+	checkHotList(t, m)
 }
 
 func TestBaselineMonitor(t *testing.T) {

@@ -19,18 +19,12 @@ type sharedGroup struct {
 	equiv   map[int64]*tagNode
 	minHeap tagHeap // ops > and >=, smallest key at the root
 	maxHeap tagHeap // ops < and <=, largest key at the root
-	waiters int     // total waiters across entries registered here; idle groups are skipped
+	waiters int     // total waiters across entries registered here
+	hotIdx  int     // index in condManager.hot while waiters > 0, else -1
 }
 
 func (g *sharedGroup) empty() bool {
 	return len(g.equiv) == 0 && g.minHeap.Len() == 0 && g.maxHeap.Len() == 0
-}
-
-// thrKey indexes threshold nodes within a group so predicates with the same
-// (key, op) share one node.
-type thrKey struct {
-	key int64
-	op  expr.Op
 }
 
 // tagNode is one tag instance holding the predicate entries it was assigned

@@ -135,6 +135,7 @@ func TestWaitHandleCancelReleasesSelect(t *testing.T) {
 		t.Errorf("counts after Cancel: active=%d inactive=%d groups=%d none=%d, want 0/1/0/0",
 			active, inactive, groups, none)
 	}
+	checkHotList(t, m)
 }
 
 // TestWaitHandleArmErrors verifies arming failures are delivered through

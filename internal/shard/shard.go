@@ -6,7 +6,7 @@
 //
 // A single monitor's relay cost grows with the number of co-resident
 // predicate groups (findTrue visits every shared-expression group with a
-// signalable waiter), so even a perfectly tagged workload serializes on
+// waiter), so even a perfectly tagged workload serializes on
 // one lock and one group table. Partitioning keeps the paper's guarantees
 // intact per shard — relay invariance, no broadcasts, tag-pruned search —
 // while dividing both the lock traffic and the group population by S.
