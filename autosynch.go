@@ -178,10 +178,10 @@
 // wakes it, and the waiter unwinds before its Mesa re-check. Neither
 // costs a goroutine per wait. Use a deadline when the give-up time is
 // known in advance ("acquire a connection within 50ms"): it needs no
-// context, and all of a monitor's deadlines ride one timer wheel whose
-// single service goroutine starts on demand and exits when no deadline
-// is pending. Use AwaitCtx when cancellation is driven by an external
-// event or an inherited request context.
+// context, and it is a Go runtime timer (time.AfterFunc), so a pending
+// deadline holds no goroutine and never expires early. Use AwaitCtx when
+// cancellation is driven by an external event or an inherited request
+// context.
 //
 // # Wake policies and starvation accounting
 //
@@ -449,9 +449,6 @@ func WithoutGenerated() Option { return core.WithoutGenerated() }
 
 // WithInactiveLimit bounds the inactive predicate cache (§5.2).
 func WithInactiveLimit(n int) Option { return core.WithInactiveLimit(n) }
-
-// WithDNFLimit bounds the DNF blow-up allowed per predicate.
-func WithDNFLimit(n int) Option { return core.WithDNFLimit(n) }
 
 // Policy is a pluggable wake policy: when several waiters are eligible,
 // it decides which one a signal picks. See the package documentation

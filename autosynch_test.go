@@ -57,7 +57,7 @@ func TestQuickstart(t *testing.T) {
 
 func TestFacadeReExports(t *testing.T) {
 	if err := func() error {
-		m := autosynch.New(autosynch.WithoutTagging(), autosynch.WithInactiveLimit(4), autosynch.WithDNFLimit(16))
+		m := autosynch.New(autosynch.WithoutTagging(), autosynch.WithInactiveLimit(4))
 		m.NewInt("x", 0)
 		m.Enter()
 		defer m.Exit()

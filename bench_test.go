@@ -432,6 +432,33 @@ func BenchmarkRelayIdleGroups(b *testing.B) {
 	}
 }
 
+// BenchmarkArmDeadlineCancel prices a handle deadline that never fires:
+// one op arms a closure-predicate handle, gives it a deadline an hour
+// out, and cancels it, on each mechanism that offers handles:
+//
+//	go test -run xxx -bench 'ArmDeadlineCancel' -benchmem
+func BenchmarkArmDeadlineCancel(b *testing.B) {
+	never := func() bool { return false }
+	for _, c := range []struct {
+		name string
+		mech autosynch.Mechanism
+	}{
+		{"autosynch", autosynch.New()},
+		{"baseline", autosynch.NewBaseline()},
+		{"explicit", autosynch.NewExplicit()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				c.mech.ArmFunc(never).Timeout(time.Hour).Cancel()
+			}
+			if w := c.mech.Waiting(); w != 0 {
+				b.Fatalf("Waiting() = %d after Cancel, want 0", w)
+			}
+		})
+	}
+}
+
 // BenchmarkAblationInactiveList compares predicate-cache settings on the
 // parameterized buffer, whose 128 batch predicates recur constantly.
 func BenchmarkAblationInactiveList(b *testing.B) {

@@ -92,10 +92,9 @@ func (b *Baseline) AwaitFuncCtx(ctx context.Context, pred func() bool) error {
 
 // AwaitFuncDeadline is AwaitFunc with an absolute deadline: if the
 // predicate has not become true by then the waiter gives up and returns
-// ErrDeadline, still holding the monitor. The expiry rides the monitor's
-// timer wheel — one goroutine for every pending deadline, started on
-// demand — and, like cancellation, wins a race against the predicate
-// once observed.
+// ErrDeadline, still holding the monitor. The expiry is a runtime timer
+// (time.AfterFunc), which holds no goroutine while it is pending, and,
+// like cancellation, wins a race against the predicate once observed.
 func (b *Baseline) AwaitFuncDeadline(deadline time.Time, pred func() bool) error {
 	return b.await(nil, deadline, pred)
 }

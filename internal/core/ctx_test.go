@@ -412,13 +412,7 @@ func TestCtxWaitAddsNoGoroutine(t *testing.T) {
 				}()
 			}
 			testWaitParkedMech(t, tc.mech, n)
-			added := 0
-			for id := range goroutineIDs() {
-				if !before[id] {
-					added++
-				}
-			}
-			if added != n {
+			if added := goroutinesSince(before); added != n {
 				t.Errorf("%d parked ctx waits added %d goroutines, want %d (no watcher per wait)", n, added, n)
 			}
 			cancel()
@@ -452,6 +446,17 @@ func goroutineIDs() map[string]bool {
 		}
 	}
 	return ids
+}
+
+// goroutinesSince counts the live goroutines whose IDs are not in before.
+func goroutinesSince(before map[string]bool) int {
+	added := 0
+	for id := range goroutineIDs() {
+		if !before[id] {
+			added++
+		}
+	}
+	return added
 }
 
 // testWaitParkedMech polls any Mechanism's Waiting count.

@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/testutil"
 )
 
@@ -28,16 +30,22 @@ func deadlineMechs() []struct {
 
 // TestAwaitDeadlineExpires: on every mechanism, a deadline'd wait on a
 // never-true predicate returns ErrDeadline, holding the monitor, fully
-// drained, with Expired and Abandons both counted.
+// drained, with Expired and Abandons both counted — and never before its
+// timeout.
 func TestAwaitDeadlineExpires(t *testing.T) {
 	for _, tc := range deadlineMechs() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			defer testutil.NoLeaks(t, tc.mech)()
 			tc.mech.Enter()
+			start := time.Now()
 			err := tc.mech.AwaitFuncTimeout(5*time.Millisecond, func() bool { return false })
+			elapsed := time.Since(start)
 			if !errors.Is(err, ErrDeadline) {
 				t.Fatalf("err = %v, want ErrDeadline", err)
+			}
+			if elapsed < 5*time.Millisecond {
+				t.Errorf("expired after %v, before its 5ms timeout", elapsed)
 			}
 			// The wait returned holding the monitor: Exit must not panic.
 			tc.mech.Exit()
@@ -83,8 +91,8 @@ func TestAwaitDeadlineAlreadyPassed(t *testing.T) {
 
 // TestAwaitDeadlineEligibleCompletes: a deadline'd wait whose predicate
 // becomes true well before the deadline completes normally, and the
-// timer is disarmed (no Expired, and the wheel goroutine drains — the
-// NoLeaks baseline would catch a straggler).
+// timer is disarmed (no Expired, and the NoLeaks baseline would catch a
+// straggler).
 func TestAwaitDeadlineEligibleCompletes(t *testing.T) {
 	m := New()
 	mt := New(WithoutTagging())
@@ -128,18 +136,23 @@ func TestAwaitDeadlineEligibleCompletes(t *testing.T) {
 }
 
 // TestWaitHandleDeadline: an armed handle whose deadline passes fires
-// Ready, reports ErrDeadline from Claim and Err, and is unregistered
-// with the usual repair. On every mechanism.
+// Ready, never before the deadline, reports ErrDeadline from Claim and
+// Err, and is unregistered with the usual repair. On every mechanism.
 func TestWaitHandleDeadline(t *testing.T) {
 	for _, tc := range deadlineMechs() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			defer testutil.NoLeaks(t, tc.mech)()
-			w := tc.mech.ArmFunc(func() bool { return false }).Timeout(5 * time.Millisecond)
+			w := tc.mech.ArmFunc(func() bool { return false })
+			start := time.Now()
+			w.Timeout(5 * time.Millisecond)
 			select {
 			case <-w.Ready():
 			case <-time.After(5 * time.Second):
 				t.Fatal("Ready did not fire on expiry")
+			}
+			if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
+				t.Errorf("Ready closed %v after Timeout, before its 5ms timeout", elapsed)
 			}
 			if err := w.Claim(); !errors.Is(err, ErrDeadline) {
 				t.Fatalf("Claim = %v, want ErrDeadline", err)
@@ -149,6 +162,143 @@ func TestWaitHandleDeadline(t *testing.T) {
 			}
 			if s := tc.mech.Stats(); s.Expired != 1 {
 				t.Errorf("Expired = %d, want 1", s.Expired)
+			}
+		})
+	}
+}
+
+// TestWaitDeadlineReplaces: a second deadline replaces the first on every
+// mechanism, whichever is nearer. A nearer one expires the handle; a
+// farther one keeps it armed past the first.
+func TestWaitDeadlineReplaces(t *testing.T) {
+	never := func() bool { return false }
+	for _, tc := range deadlineMechs() {
+		t.Run(tc.name, func(t *testing.T) {
+			defer testutil.NoLeaks(t, tc.mech)()
+			nearer := tc.mech.ArmFunc(never).Timeout(time.Hour).Timeout(5 * time.Millisecond)
+			waitTimeout(t, 10*time.Second, "expiry of the nearer second deadline", func() { <-nearer.Ready() })
+			if err := nearer.Err(); !errors.Is(err, ErrDeadline) {
+				t.Fatalf("nearer second deadline: Err = %v, want ErrDeadline", err)
+			}
+
+			farther := tc.mech.ArmFunc(never).Timeout(5 * time.Millisecond).Deadline(time.Now().Add(time.Hour))
+			time.Sleep(100 * time.Millisecond)
+			if err := farther.Err(); err != nil {
+				t.Fatalf("farther second deadline: Err = %v after the replaced 5ms one, want nil", err)
+			}
+			select {
+			case <-farther.Ready():
+				t.Fatal("farther second deadline: Ready closed after the replaced 5ms one")
+			default:
+			}
+			farther.Cancel()
+			if s := tc.mech.Stats(); s.Expired != 1 {
+				t.Errorf("Expired = %d, want 1", s.Expired)
+			}
+		})
+	}
+}
+
+// TestDeadlineEndRecordsExpireBeforeCancel: a handle ends through one
+// path on every mechanism. A Cancel records KCancel alone; an expiry
+// records KExpire, then KCancel, and counts Expired beside the Abandon.
+// The recorder is process-global, so no t.Parallel here.
+func TestDeadlineEndRecordsExpireBeforeCancel(t *testing.T) {
+	obs.Start(1 << 10)
+	mon, base, exp := New(), NewBaseline(), NewExplicit()
+	obs.Stop()
+	never := func() bool { return false }
+	for _, tc := range []struct {
+		name string
+		mech Mechanism
+		ring *obs.Ring
+	}{
+		{"autosynch", mon, mon.rec},
+		{"baseline", base, base.rec},
+		{"explicit", exp, exp.rec},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer testutil.NoLeaks(t, tc.mech)()
+			cancelled := tc.mech.ArmFunc(never)
+			cancelled.Cancel()
+			expired := tc.mech.ArmFunc(never).Timeout(time.Millisecond)
+			waitTimeout(t, 10*time.Second, "handle expiry", func() { <-expired.Ready() })
+			ends := map[uint64][]obs.Kind{}
+			for _, ev := range tc.ring.Snapshot() {
+				if ev.Kind == obs.KExpire || ev.Kind == obs.KCancel {
+					ends[ev.Seq] = append(ends[ev.Seq], ev.Kind)
+				}
+			}
+			if got := ends[cancelled.seq]; !slices.Equal(got, []obs.Kind{obs.KCancel}) {
+				t.Errorf("cancelled handle recorded %v, want [%v]", got, obs.KCancel)
+			}
+			if got := ends[expired.seq]; !slices.Equal(got, []obs.Kind{obs.KExpire, obs.KCancel}) {
+				t.Errorf("expired handle recorded %v, want [%v %v]", got, obs.KExpire, obs.KCancel)
+			}
+			if s := tc.mech.Stats(); s.Expired != 1 || s.Abandons != 2 {
+				t.Errorf("Expired = %d Abandons = %d, want 1 and 2", s.Expired, s.Abandons)
+			}
+		})
+	}
+}
+
+// TestDeadlineAddsNoGoroutine: a pending deadline holds no goroutine on
+// any mechanism. Handles armed with a deadline add none, and parked
+// deadline waits add only their own. New goroutine IDs are counted, as in
+// TestCtxWaitAddsNoGoroutine.
+func TestDeadlineAddsNoGoroutine(t *testing.T) {
+	const n = 100
+	m := New()
+	b := NewBaseline()
+	e := NewExplicit()
+	side := e.NewCond()
+	cases := []struct {
+		name string
+		mech Mechanism
+		wake func()
+	}{
+		{"autosynch", m, func() { m.Do(func() {}) }},
+		{"baseline", b, func() { b.Do(func() {}) }},
+		{"explicit", e, func() { e.Do(func() { side.Broadcast() }) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer testutil.NoLeaks(t, tc.mech)()
+			var flag atomic.Bool
+			before := goroutineIDs()
+			handles := make([]*Wait, n)
+			for i := range handles {
+				handles[i] = tc.mech.ArmFunc(flag.Load).Timeout(time.Hour)
+			}
+			if added := goroutinesSince(before); added != 0 {
+				t.Errorf("%d handles with a pending deadline added %d goroutines, want 0", n, added)
+			}
+			for _, w := range handles {
+				w.Cancel()
+			}
+
+			before = goroutineIDs()
+			errs := make(chan error, n)
+			for i := 0; i < n; i++ {
+				go func() {
+					tc.mech.Enter()
+					err := tc.mech.AwaitFuncDeadline(time.Now().Add(time.Hour), flag.Load)
+					tc.mech.Exit()
+					errs <- err
+				}()
+			}
+			testWaitParkedMech(t, tc.mech, n)
+			if added := goroutinesSince(before); added != n {
+				t.Errorf("%d parked deadline waits added %d goroutines, want %d", n, added, n)
+			}
+			flag.Store(true)
+			tc.wake()
+			for i := 0; i < n; i++ {
+				var err error
+				waitTimeout(t, 10*time.Second, "released waiter", func() { err = <-errs })
+				if err != nil {
+					t.Fatalf("err = %v, want nil", err)
+				}
 			}
 		})
 	}

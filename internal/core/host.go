@@ -12,11 +12,11 @@ import (
 
 // host is the monitor state and bookkeeping the three mechanisms share:
 // Monitor embeds it directly, Baseline and Explicit through condHost. It
-// owns the lock, the counters, the deadline wheel, the recorder ring, the
-// fairness accounting, the await preamble and the give-up path of a
-// parked wait. The mechanisms differ only in how a waiter is notified:
-// Monitor relays a signal to one *Wait, Baseline broadcasts on every
-// exit, and Explicit signals where the program says.
+// owns the lock, the counters, the recorder ring, the fairness
+// accounting, the await preamble and the give-up path of a parked wait.
+// The mechanisms differ only in how a waiter is notified: Monitor relays
+// a signal to one *Wait, Baseline broadcasts on every exit, and Explicit
+// signals where the program says.
 type host struct {
 	mu      sync.Mutex
 	in      bool // a thread is inside the monitor (diagnostics only)
@@ -26,8 +26,6 @@ type host struct {
 
 	pol      policy.Policy // wake policy; nil keeps the mechanism's default pick
 	starveNs int64         // starvation threshold; 0 disables Starved
-
-	wheel *timerWheel // deadline wheel, created on first deadline'd wait
 
 	// Flight recorder ring, bound once at construction when an obs
 	// recorder is active process-wide, nil otherwise. Every event site is
@@ -79,15 +77,6 @@ func (h *host) spanStart() int64 {
 func (h *host) lockWait()   { h.mu.Lock() }
 func (h *host) unlockWait() { h.mu.Unlock() }
 
-// timers lazily creates the monitor's deadline wheel. Runs under the
-// monitor lock.
-func (h *host) timers() *timerWheel {
-	if h.wheel == nil {
-		h.wheel = newTimerWheel()
-	}
-	return h.wheel
-}
-
 // awaitStart is the preamble every blocking wait runs before it evaluates
 // its predicate: it must hold the monitor (what names the call in the
 // panic), it counts the await, and a context already done or a deadline
@@ -116,13 +105,14 @@ func givesUp(ctx context.Context, deadline time.Time) bool {
 	return ctx != nil && ctx.Done() != nil || !deadline.IsZero()
 }
 
-// giveUpOn arms the give-up triggers of the parked wait w: ctx through
-// context.AfterFunc, so no goroutine exists until the context is done,
-// and the deadline through the monitor's timer wheel. The first trigger
-// to fire while w is still parked marks w with its error and calls wake
-// — notify for a *Wait, Broadcast for a condition variable — and the
-// waiter unwinds on wake-up, before its Mesa re-check (giveUp). A trigger
-// that loses the race to the wait's completion finds w finished and does
+// giveUpOn arms the give-up triggers of the parked wait w as standard
+// library callbacks: ctx through context.AfterFunc and the deadline
+// through time.AfterFunc, a runtime timer that never fires early. No
+// goroutine exists until a trigger fires. The first trigger to fire
+// while w is still parked marks w with its error and calls wake — notify
+// for a *Wait, Broadcast for a condition variable — and the waiter
+// unwinds on wake-up, before its Mesa re-check (giveUp). A trigger that
+// loses the race to the wait's completion finds w finished and does
 // nothing. Runs under the monitor lock; the waiter disarms both triggers
 // when it leaves.
 func (h *host) giveUpOn(ctx context.Context, deadline time.Time, w *Wait, wake func()) {
@@ -138,7 +128,7 @@ func (h *host) giveUpOn(ctx context.Context, deadline time.Time, w *Wait, wake f
 		w.stopCtx = context.AfterFunc(ctx, func() { fire(ctx.Err()) })
 	}
 	if !deadline.IsZero() {
-		w.timer = h.timers().add(deadline, func() { fire(ErrDeadline) })
+		w.timer = time.AfterFunc(time.Until(deadline), func() { fire(ErrDeadline) })
 	}
 }
 

@@ -39,8 +39,7 @@ type Mechanism interface {
 	// AwaitFuncDeadline and AwaitFuncTimeout are the timer-shaped peers
 	// of AwaitFuncCtx: if the predicate has not become true by the
 	// deadline, the wait is abandoned with ErrDeadline, still holding
-	// the monitor. Expiries ride a per-monitor timer wheel (one service
-	// goroutine for all pending deadlines, none when idle) rather than a
+	// the monitor. An expiry is a runtime timer (time.AfterFunc), not a
 	// context and goroutine per wait, and an observed expiry wins a race
 	// against the predicate becoming true, exactly like cancellation.
 	AwaitFuncDeadline(deadline time.Time, pred func() bool) error

@@ -172,8 +172,8 @@ func (m *Monitor) AwaitCtx(ctx context.Context, pred string, binds ...Binding) e
 // same return-holding-the-monitor contract, same unregistration and
 // relay-invariance repair, same priority rule (an expiry observed on
 // wake-up wins even if the predicate just became true) — but they are
-// served by a per-monitor timer wheel instead of a per-wait context, so
-// a deadline'd wait costs no extra goroutine. A deadline already in the
+// armed as a runtime timer (time.AfterFunc) instead of a context, so a
+// deadline'd wait costs no extra goroutine. A deadline already in the
 // past fails immediately without evaluating the predicate.
 func (m *Monitor) AwaitDeadline(deadline time.Time, pred string, binds ...Binding) error {
 	return m.await(nil, deadline, pred, binds)
@@ -427,11 +427,11 @@ func (m *Monitor) consumeSignal(w *Wait) {
 	}
 }
 
-// rearmWaiter returns a still-registered waiter to the signalable pool
-// with a fresh ready channel. Only a waiter that consumed a notification
-// re-enters the unnotified count — an early Claim re-arms a waiter that
-// was never notified, whose registration count still stands. Runs under
-// the monitor lock.
+// rearmWaiter returns a still-registered waiter to the signalable pool.
+// Only a waiter that consumed a notification re-enters the unnotified
+// count and gets a fresh ready channel — an early Claim re-arms a waiter
+// that was never notified, whose registration count and channel still
+// stand. Runs under the monitor lock.
 func (m *Monitor) rearmWaiter(w *Wait) {
 	if w.notified {
 		w.e.unnotified++

@@ -18,7 +18,6 @@ type config struct {
 	tagging       bool
 	generated     bool
 	inactiveLimit int
-	dnfLimit      int
 	policy        policy.Policy // wake policy; nil keeps the first-found relay pick
 	starveNs      int64         // starvation threshold; 0 disables Starved accounting
 }
@@ -28,7 +27,6 @@ func defaultConfig() config {
 		tagging:       true,
 		generated:     true,
 		inactiveLimit: DefaultInactiveLimit,
-		dnfLimit:      0, // 0 → dnf.DefaultMaxConjunctions
 	}
 }
 
@@ -58,15 +56,6 @@ func WithInactiveLimit(n int) Option {
 	return func(c *config) {
 		if n >= 0 {
 			c.inactiveLimit = n
-		}
-	}
-}
-
-// WithDNFLimit bounds the DNF conversion blow-up per predicate.
-func WithDNFLimit(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.dnfLimit = n
 		}
 	}
 }

@@ -277,10 +277,6 @@ func (m *Monitor) compileNode(src string, node expr.Node) (*Predicate, error) {
 		return nil, predErrf(src, "%v", err)
 	}
 
-	limit := m.cfg.dnfLimit
-	if limit <= 0 {
-		limit = dnf.DefaultMaxConjunctions
-	}
 	intVar := func(name string) bool {
 		if s, ok := m.vars[name]; ok {
 			return s.typ == expr.TypeInt
@@ -290,7 +286,7 @@ func (m *Monitor) compileNode(src string, node expr.Node) (*Predicate, error) {
 		}
 		return false
 	}
-	d, err := dnf.ConvertTyped(node, limit, intVar)
+	d, err := dnf.ConvertTyped(node, dnf.DefaultMaxConjunctions, intVar)
 	if err != nil {
 		return nil, predErrf(src, "%v", err)
 	}

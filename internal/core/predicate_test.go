@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -127,8 +128,13 @@ func TestPredicateErrorShapes(t *testing.T) {
 	m := New()
 	m.NewInt("count", 0)
 
-	// Compile-time failures.
-	for _, src := range []string{"count >=", "count + 1", "a && a > 0"} {
+	// Compile-time failures. The last has 2^8 = 256 conjunctions in DNF,
+	// past the limit of dnf.DefaultMaxConjunctions.
+	var blowup []string
+	for i := 0; i < 8; i++ {
+		blowup = append(blowup, fmt.Sprintf("(a%d > 0 || b%d > 0)", i, i))
+	}
+	for _, src := range []string{"count >=", "count + 1", "a && a > 0", strings.Join(blowup, " && ")} {
 		_, err := m.Compile(src)
 		if err == nil {
 			t.Errorf("Compile(%q) succeeded", src)

@@ -13,8 +13,8 @@ import (
 var (
 	// ErrNotReady is returned by Wait.Claim when a racing mutation
 	// falsified the predicate between notification and the claim. The
-	// handle has been transparently re-armed: Ready returns a fresh
-	// channel and the claim loop simply selects again.
+	// handle has been transparently re-armed: the claim loop calls Ready
+	// and simply selects again.
 	ErrNotReady = errors.New("autosynch: predicate no longer holds; wait handle re-armed")
 
 	// ErrClaimed is returned by Wait.Claim on a handle that was already
@@ -48,9 +48,9 @@ const (
 )
 
 // waitHost is the mechanism half of a handle: the shared host supplies
-// the lock, the deadline wheel and the expiry count, and Monitor or
-// condHost (Baseline, Explicit) the registration-aware claim and cancel
-// steps, so one Wait type serves all three mechanisms uniformly.
+// the lock and the expiry count, and Monitor or condHost (Baseline,
+// Explicit) the registration-aware claim and cancel steps, so one Wait
+// type serves all three mechanisms uniformly.
 type waitHost interface {
 	lockWait()
 	unlockWait()
@@ -60,12 +60,9 @@ type waitHost interface {
 	// handle and the generic wrapper releases the lock.
 	claimLocked(w *Wait) error
 	// cancelLocked unregisters an armed handle and restores the host's
-	// signaling invariants. The generic wrapper has already moved the
-	// handle to waitCancelled and closed its channel.
+	// signaling invariants. The generic wrapper (Wait.end) has already
+	// moved the handle to waitCancelled; it closes the channel after.
 	cancelLocked(w *Wait)
-	// timers returns the host's deadline wheel, creating it lazily.
-	// Called under the host lock.
-	timers() *timerWheel
 	// statExpired counts one deadline expiry (of handle w) under the
 	// host lock.
 	statExpired(w *Wait)
@@ -123,13 +120,13 @@ type Wait struct {
 	// sequence and rank the registration-time policy rank — together the
 	// policy.Candidate the wake policy compares. since is the
 	// registration stamp on the monotonic obs.Now clock, feeding
-	// MaxWaitNs/Starved; timer the armed deadline item, if any, and
-	// stopCtx the context callback of a blocking wait that can be
-	// cancelled (see host.giveUpOn).
+	// MaxWaitNs/Starved; timer the armed deadline, if any, and stopCtx
+	// the context callback of a blocking wait that can be cancelled (see
+	// host.giveUpOn).
 	seq     uint64
 	rank    int64
 	since   int64
-	timer   *timerItem
+	timer   *time.Timer
 	stopCtx func() bool
 
 	// Select subscription: when set, every notification additionally
@@ -179,9 +176,14 @@ func (w *Wait) notify() {
 }
 
 // rearm resets the handle for another notification cycle: a fresh channel
-// and cleared delivery flags. Runs under the host lock; the caller settles
-// any in-flight-signal accounting first.
+// and cleared delivery flags. A handle never notified keeps its channel,
+// still open, so a goroutine already receiving from it is woken by the
+// next notification. Runs under the host lock; the caller settles any
+// in-flight-signal accounting first.
 func (w *Wait) rearm() {
+	if !w.notified {
+		return
+	}
 	w.notified = false
 	w.viaRelay = false
 	w.ready = make(chan struct{})
@@ -235,9 +237,10 @@ func (w *Wait) subscribe(ch chan int, idx int) {
 func (w *Wait) Subscribe(ch chan int, idx int) { w.subscribe(ch, idx) }
 
 // Ready returns the channel that is closed when the waiter is notified.
-// After a futile Claim the handle is re-armed with a fresh channel, so a
-// select loop must call Ready again on each iteration rather than caching
-// the first channel.
+// A futile Claim that came after a notification re-arms the handle with a
+// fresh channel, so a select loop must call Ready again on each iteration
+// rather than caching the first channel. A futile Claim before any
+// notification keeps the open channel.
 func (w *Wait) Ready() <-chan struct{} {
 	if w.host == nil {
 		return w.ready
@@ -288,20 +291,18 @@ func (w *Wait) Claim() error {
 // in-flight relay signal is reconciled and relayed onward). A successful
 // Claim or an explicit Cancel first disarms the timer. Arming a second
 // deadline replaces the first. Deadline returns its receiver so it chains
-// off Arm: p.Arm(binds...).Deadline(t). The expiry machinery is the
-// host's timer wheel — one goroutine per monitor, not one per handle —
-// and that goroutine exits whenever no deadline is pending.
+// off Arm: p.Arm(binds...).Deadline(t). The expiry is a runtime timer
+// (time.AfterFunc): a pending deadline holds no goroutine, and the
+// expiry never fires before t.
 func (w *Wait) Deadline(t time.Time) *Wait {
 	if w.host == nil {
 		return w
 	}
 	w.host.lockWait()
-	if w.state != waitArmed {
-		w.host.unlockWait()
-		return w
+	if w.state == waitArmed {
+		w.disarm() // a second deadline replaces the first
+		w.timer = time.AfterFunc(time.Until(t), func() { w.end(ErrDeadline) })
 	}
-	w.timer.stop()
-	w.timer = w.host.timers().add(t, func() { w.expire() })
 	w.host.unlockWait()
 	return w
 }
@@ -309,27 +310,38 @@ func (w *Wait) Deadline(t time.Time) *Wait {
 // Timeout is Deadline relative to now.
 func (w *Wait) Timeout(d time.Duration) *Wait { return w.Deadline(time.Now().Add(d)) }
 
-// expire is the timer wheel's fire path for a handle deadline: cancel
-// the handle with ErrDeadline. Racing claims are settled by the host
-// lock — a handle claimed or cancelled first makes this a no-op.
-func (w *Wait) expire() {
+// end finishes an armed handle without a claim, with ErrCancelled from
+// Cancel or ErrDeadline from its deadline's timer: the host unregisters
+// it and restores its signaling invariants, and Ready closes. Only an
+// expiry counts Expired, recorded before the cancel's Abandon. Racing
+// ends and claims are settled by the host lock: on a handle already
+// claimed or ended, end does nothing.
+func (w *Wait) end(err error) {
 	w.host.lockWait()
 	defer w.host.unlockWait()
 	if w.state != waitArmed {
 		return
 	}
 	w.state = waitCancelled
-	w.err = ErrDeadline
-	w.host.statExpired(w)
+	w.err = err
+	w.disarm()
+	if err == ErrDeadline {
+		w.host.statExpired(w)
+	}
+	// Unregister before closing the channel: the host's bookkeeping (the
+	// entry's unnotified count, for Monitor) distinguishes delivered
+	// notifications from the courtesy close.
 	w.host.cancelLocked(w)
 	w.notify()
 }
 
-// disarm stops the waiter's give-up triggers: its deadline item and its
+// disarm stops the waiter's give-up triggers: its deadline timer and its
 // context callback, if any. Runs under the host lock.
 func (w *Wait) disarm() {
-	w.timer.stop()
-	w.timer = nil
+	if w.timer != nil {
+		w.timer.Stop()
+		w.timer = nil
+	}
 	if w.stopCtx != nil {
 		w.stopCtx()
 		w.stopCtx = nil
@@ -346,22 +358,9 @@ func cand(w *Wait) policy.Candidate { return policy.Candidate{Seq: w.seq, Rank: 
 // goroutine unblocks. Err reports ErrCancelled afterwards. Cancelling a
 // claimed, failed, or already-cancelled handle is a no-op.
 func (w *Wait) Cancel() {
-	if w.host == nil {
-		return
+	if w.host != nil {
+		w.end(ErrCancelled)
 	}
-	w.host.lockWait()
-	defer w.host.unlockWait()
-	if w.state != waitArmed {
-		return
-	}
-	w.state = waitCancelled
-	w.err = ErrCancelled
-	w.disarm()
-	// Unregister before closing the channel: the host's bookkeeping (the
-	// entry's unnotified count, for Monitor) distinguishes delivered
-	// notifications from the cancellation's courtesy close.
-	w.host.cancelLocked(w)
-	w.notify()
 }
 
 // Err returns the handle's terminal error: nil while armed or after a

@@ -405,6 +405,36 @@ func TestWaitHandleEarlyClaimAccounting(t *testing.T) {
 	}
 }
 
+// TestWaitEarlyFutileClaimKeepsReady: a futile Claim before any
+// notification keeps the handle's Ready channel, on every mechanism, so
+// a receiver that took the channel before the claim is woken when the
+// predicate turns true. A claim that replaced the channel lost that
+// wake-up: the next notification closed the new channel only.
+func TestWaitEarlyFutileClaimKeepsReady(t *testing.T) {
+	for _, tc := range deadlineMechs() {
+		t.Run(tc.name, func(t *testing.T) {
+			defer testutil.NoLeaks(t, tc.mech)()
+			var flag atomic.Bool
+			w := tc.mech.ArmFunc(flag.Load)
+			ready := w.Ready()
+			if err := w.Claim(); !errors.Is(err, ErrNotReady) {
+				t.Fatalf("early Claim = %v, want ErrNotReady", err)
+			}
+			flag.Store(true)
+			tc.mech.Do(func() {
+				if e, ok := tc.mech.(*Explicit); ok {
+					e.NewCond().Broadcast() // explicit monitors notify on a manual signal
+				}
+			})
+			waitTimeout(t, 10*time.Second, "receive from the Ready channel taken before the early Claim", func() { <-ready })
+			if err := w.Claim(); err != nil {
+				t.Fatalf("Claim = %v, want nil", err)
+			}
+			tc.mech.Exit()
+		})
+	}
+}
+
 // TestWaitHandleCancelUnnotifiedAccounting pins the companion schedule:
 // cancelling a handle that was never notified must release its slot in
 // the entry's unnotified count even though Cancel closes the ready

@@ -30,7 +30,7 @@ func init() {
 }
 
 // RunConnPool is a bounded connection pool with a max-idle cap and a
-// deadline'd acquire — the registry's exercise of the timer-wheel wait
+// deadline'd acquire — the registry's exercise of the deadline wait
 // path under saturation. Each client operation acquires a connection
 // (reuse an idle one, or open a new one while open < cap) with
 // AcquireTimeout of patience per attempt: an attempt that expires returns

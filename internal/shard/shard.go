@@ -164,8 +164,7 @@ func (sm *Monitor) AwaitPredCtx(ctx context.Context, key uint64, p *Predicate, b
 }
 
 // AwaitPredDeadline is AwaitPred with an absolute deadline; the expiry
-// rides the owning shard's timer wheel (each shard services its own
-// deadlines — no cross-shard timer traffic).
+// is a runtime timer that gives up on the owning shard's monitor only.
 func (sm *Monitor) AwaitPredDeadline(deadline time.Time, key uint64, p *Predicate, binds ...core.Binding) error {
 	i := sm.Index(key)
 	return sm.shards[i].AwaitPredDeadline(deadline, p.On(i), binds...)
