@@ -459,6 +459,44 @@ func BenchmarkArmDeadlineCancel(b *testing.B) {
 	}
 }
 
+// BenchmarkEntryReuse prices the reuse of a parked predicate entry: one
+// op arms a handle on a never-true predicate, whose entry is parked on
+// the inactive list, and cancels it, cycling through 128 keys. threshold
+// is a consumer's x >= k; producer is x + k <= c || stop, whose entry
+// holds a threshold and an equivalence tag. Only the handle and its
+// channel allocate:
+//
+//	go test -run xxx -bench 'EntryReuse' -benchmem -cpu 1
+func BenchmarkEntryReuse(b *testing.B) {
+	const keys = 128
+	for _, c := range []struct{ name, pred string }{
+		{"threshold", "x >= k"},
+		{"producer", "x + k <= c || stop"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m := autosynch.New()
+			m.NewInt("x", 0)
+			m.NewInt("c", 0)
+			m.NewBool("stop", false)
+			p := m.MustCompile(c.pred)
+			binds := make([]autosynch.Binding, keys)
+			for i := range binds {
+				binds[i] = autosynch.Bind("k", int64(i+1))
+				p.Arm(binds[i]).Cancel()
+			}
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				p.Arm(binds[i%keys]).Cancel()
+				i++
+			}
+			if s := m.Stats(); s.Registrations != keys || s.Evictions != 0 {
+				b.Fatalf("registrations/evictions = %d/%d, want %d/0", s.Registrations, s.Evictions, keys)
+			}
+		})
+	}
+}
+
 // BenchmarkAblationInactiveList compares predicate-cache settings on the
 // parameterized buffer, whose 128 batch predicates recur constantly.
 func BenchmarkAblationInactiveList(b *testing.B) {

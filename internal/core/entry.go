@@ -1,8 +1,6 @@
 package core
 
 import (
-	"container/list"
-
 	"repro/internal/dnf"
 	"repro/internal/expr"
 	"repro/internal/policy"
@@ -16,9 +14,10 @@ import (
 // signaling delivers a notification by closing a waiter's channel rather
 // than unparking a particular goroutine.
 type entry struct {
-	canon  string // canonical globalized DNF string; identity key
-	static bool   // shared predicate: registered once, never evicted
-	active bool
+	canon    string // canonical globalized DNF string; identity key
+	static   bool   // shared predicate: registered once, never evicted
+	active   bool
+	funcOnly bool // one-shot AwaitFunc/ArmFunc entry; never cached
 
 	waiters    []*Wait // registered waiters, parked and armed alike
 	unnotified int     // waiters with no notification in flight
@@ -29,9 +28,9 @@ type entry struct {
 	nodes   []*tagNode // tag nodes the entry is registered in (deduplicated)
 	noneIdx int        // index in the None scan list, -1 when absent
 
-	lruElem *list.Element // position in the inactive LRU, nil while active
-
-	funcOnly bool // one-shot AwaitFunc/ArmFunc entry; never cached
+	// prev and next link a parked entry into the inactive LRU ring
+	// (condManager.lru); both are nil while the entry is active.
+	prev, next *entry
 
 	// policy is the per-predicate wake-policy override (Predicate.
 	// UsePolicy): it refines which of THIS entry's waiters a signal

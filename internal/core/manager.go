@@ -1,7 +1,7 @@
 package core
 
 import (
-	"container/list"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -15,14 +15,20 @@ import (
 type condManager struct {
 	m *Monitor
 
-	table    map[string]*entry // active entries by canonical string
-	inactive map[string]*entry // parked entries by canonical string
-	lru      *list.List        // inactive entries, most recently parked at the front
+	table    map[string]*entry // active entries by identity
+	inactive map[string]*entry // parked entries by identity
+	lru      entry             // inactive ring sentinel: next is the newest parked entry, prev the oldest
+	id       []byte            // template identity scratch, looked up without a string
 
-	groups map[string]*sharedGroup // tag structures by canonical shared expression
-	hot    []*sharedGroup          // groups with waiters, the relay search's walk
-	none   []*entry                // entries needing exhaustive search
-	backup []*tagNode              // searchHeap's popped roots, reused (searches never nest)
+	// groups indexes the tag structures by canonical shared expression. A
+	// group stays while a cached entry, active or parked, names it: a
+	// parked entry keeps its groups' compiled evaluators alive, and the
+	// eviction or discard of the last entry naming a group releases it.
+	groups map[string]*sharedGroup
+	hot    []*sharedGroup // groups with waiters, the relay search's walk
+	none   []*entry       // entries needing exhaustive search
+	free   []*tagNode     // detached tag nodes for reuse, at most inactiveLimit
+	backup []*tagNode     // searchHeap's popped roots, reused (searches never nest)
 
 	pending int // signals issued and not yet consumed by a woken or claiming waiter
 
@@ -35,72 +41,66 @@ type condManager struct {
 }
 
 func newCondManager(m *Monitor) *condManager {
-	return &condManager{
+	cm := &condManager{
 		m:        m,
 		table:    map[string]*entry{},
 		inactive: map[string]*entry{},
-		lru:      list.New(),
 		groups:   map[string]*sharedGroup{},
 	}
+	cm.lru.prev, cm.lru.next = &cm.lru, &cm.lru
+	return cm
 }
 
-// getEntry finds or creates the entry for a globalized predicate,
-// reactivating a parked entry when the same canonical predicate was used
-// before (predicate reuse, §5.2). build constructs the entry on a miss.
-func (cm *condManager) getEntry(canon string, build func() (*entry, error)) (*entry, error) {
-	if e, ok := cm.table[canon]; ok {
+// getEntry finds or creates the entry with identity id (a globalized
+// predicate's canonical string, or a template identity rendered into
+// cm.id), reactivating a parked entry when the same identity was used
+// before (predicate reuse, §5.2). A parked entry still names its groups,
+// whose compiled evaluators it kept alive, and the lookups do not copy
+// id, so a reuse compiles and allocates nothing. On a miss, build
+// constructs the entry under id as a string.
+func getEntry[ID string | []byte](cm *condManager, id ID, build func(canon string) (*entry, error)) (*entry, error) {
+	if e, ok := cm.table[string(id)]; ok {
 		return e, nil
 	}
-	if e, ok := cm.inactive[canon]; ok {
-		delete(cm.inactive, canon)
-		cm.lru.Remove(e.lruElem)
-		e.lruElem = nil
+	if e, ok := cm.inactive[string(id)]; ok {
+		cm.unpark(e)
 		cm.m.stats.Reuses++
-		cm.activate(e)
+		cm.activate(e, false)
 		return e, nil
 	}
-	e, err := build()
+	e, err := build(string(id))
 	if err != nil {
 		return nil, err
 	}
 	cm.m.stats.Registrations++
-	cm.activate(e)
+	cm.activate(e, true)
 	return e, nil
 }
 
 // activate registers the entry in the predicate table and in the tag
-// structures (or the None list when tagging is disabled). A recorded
-// KTag is the span of the update.
-func (cm *condManager) activate(e *entry) {
+// structures (or the None list when tagging is disabled). A fresh entry
+// first takes its references on the groups it names (retain); a parked
+// one still holds them. A recorded KTag is the span of the update.
+func (cm *condManager) activate(e *entry, fresh bool) {
 	start := cm.m.spanStart()
+	if fresh {
+		cm.retain(e)
+	}
 	cm.table[e.canon] = e
 	e.active = true
-	seen := map[*tagNode]bool{}
-	inNone := false
-	for _, tg := range e.conjTags {
+	for i := range e.conjTags {
+		tg := &e.conjTags[i]
 		if !cm.m.cfg.tagging || tg.Kind == tag.None {
-			if !inNone {
+			if e.noneIdx < 0 {
 				e.noneIdx = len(cm.none)
 				cm.none = append(cm.none, e)
-				inNone = true
 			}
 			continue
 		}
-		node := cm.nodeFor(tg)
-		if node == nil {
-			// Shared-expression compilation failed (undeclared variable
-			// in a hand-built DNF); fall back to exhaustive search.
-			if !inNone {
-				e.noneIdx = len(cm.none)
-				cm.none = append(cm.none, e)
-				inNone = true
-			}
+		node := cm.nodeFor(cm.groups[tg.Expr], tg)
+		if slices.Contains(e.nodes, node) {
 			continue
 		}
-		if seen[node] {
-			continue
-		}
-		seen[node] = true
 		node.addEntry(e)
 		e.nodes = append(e.nodes, node)
 	}
@@ -109,30 +109,69 @@ func (cm *condManager) activate(e *entry) {
 	}
 }
 
-// nodeFor finds or creates the tag node for tg in its shared-expression
-// group, creating the group (with its compiled evaluator) on first use.
-func (cm *condManager) nodeFor(tg tag.Tag) *tagNode {
-	g, ok := cm.groups[tg.Expr]
-	if !ok {
-		eval, err := cm.m.compileForm(tg.Form)
-		if err != nil {
-			return nil
-		}
-		g = &sharedGroup{
-			exprStr: tg.Expr,
-			eval:    eval,
-			hotIdx:  -1,
-			equiv:   map[int64]*tagNode{},
-			minHeap: tagHeap{min: true},
-			maxHeap: tagHeap{min: false},
-		}
-		cm.groups[tg.Expr] = g
+// retain takes a fresh entry's references on the groups its tags name,
+// creating a group, with its compiled evaluator, on first use. A tag
+// whose shared expression does not compile (an undeclared variable in a
+// hand-built DNF) becomes the None tag, so the entry is searched
+// exhaustively and names the same groups for as long as it is cached.
+func (cm *condManager) retain(e *entry) {
+	if !cm.m.cfg.tagging {
+		return
 	}
+	for i := range e.conjTags {
+		tg := &e.conjTags[i]
+		if tg.Kind == tag.None {
+			continue
+		}
+		g, ok := cm.groups[tg.Expr]
+		if !ok {
+			eval, err := cm.m.compileForm(tg.Form)
+			if err != nil {
+				*tg = tag.Tag{Kind: tag.None}
+				continue
+			}
+			g = &sharedGroup{
+				exprStr: tg.Expr,
+				eval:    eval,
+				hotIdx:  -1,
+				equiv:   map[int64]*tagNode{},
+				minHeap: tagHeap{min: true},
+				maxHeap: tagHeap{min: false},
+			}
+			cm.groups[tg.Expr] = g
+		}
+		g.refs++
+	}
+}
+
+// release drops the group references of an entry that leaves the cache,
+// evicted or discarded. A group no cached entry names any more holds no
+// tag node, and is dropped with its compiled evaluator.
+func (cm *condManager) release(e *entry) {
+	if !cm.m.cfg.tagging {
+		return
+	}
+	for i := range e.conjTags {
+		tg := &e.conjTags[i]
+		if tg.Kind == tag.None {
+			continue
+		}
+		g := cm.groups[tg.Expr]
+		g.refs--
+		if g.refs == 0 {
+			delete(cm.groups, tg.Expr)
+		}
+	}
+}
+
+// nodeFor finds the tag node for tg in its group g, or attaches a new
+// one, recycled from the free list when it can be.
+func (cm *condManager) nodeFor(g *sharedGroup, tg *tag.Tag) *tagNode {
 	if tg.Kind == tag.Equivalence {
 		if n, ok := g.equiv[tg.Key]; ok {
 			return n
 		}
-		n := &tagNode{group: g, kind: tag.Equivalence, key: tg.Key, op: tg.Op, heapIdx: -1}
+		n := cm.newNode(g, tg)
 		g.equiv[tg.Key] = n
 		return n
 	}
@@ -142,9 +181,41 @@ func (cm *condManager) nodeFor(tg tag.Tag) *tagNode {
 			return n
 		}
 	}
-	n := &tagNode{group: g, kind: tag.Threshold, key: tg.Key, op: tg.Op}
+	n := cm.newNode(g, tg)
 	h.push(n)
 	return n
+}
+
+// newNode returns an unattached tag node for tg in g, taken from the free
+// list when it has one; a recycled node keeps its entries slice's
+// capacity.
+func (cm *condManager) newNode(g *sharedGroup, tg *tag.Tag) *tagNode {
+	var n *tagNode
+	if last := len(cm.free) - 1; last >= 0 {
+		n = cm.free[last]
+		cm.free[last] = nil
+		cm.free = cm.free[:last]
+	} else {
+		n = new(tagNode)
+	}
+	*n = tagNode{group: g, kind: tg.Kind, key: tg.Key, op: tg.Op, entries: n.entries, heapIdx: -1}
+	return n
+}
+
+// detach removes a tag node that lost its last entry from its group, and
+// keeps it for reuse while the free list is shorter than the inactive
+// limit.
+func (cm *condManager) detach(n *tagNode) {
+	g := n.group
+	if n.kind == tag.Equivalence {
+		delete(g.equiv, n.key)
+	} else if n.heapIdx >= 0 {
+		g.heapFor(n.op).remove(n)
+	}
+	n.group = nil
+	if len(cm.free) < cm.m.cfg.inactiveLimit {
+		cm.free = append(cm.free, n)
+	}
 }
 
 // heapFor selects the heap for a threshold operator: {>, ≥} tags live in
@@ -156,11 +227,13 @@ func (g *sharedGroup) heapFor(op expr.Op) *tagHeap {
 	return &g.maxHeap
 }
 
-// deactivate unregisters an entry with no remaining waiters. Static
-// (shared) predicates stay active forever; closure entries are discarded;
-// everything else is parked on the inactive list for reuse, evicting the
-// oldest entries past the configured limit. A recorded KTag is the span
-// of the update.
+// deactivate unregisters an entry with no remaining waiters and detaches
+// the tag nodes it leaves empty. Static (shared) predicates stay active
+// forever; closure entries are discarded; everything else is parked on
+// the inactive list for reuse, still naming its groups and so keeping
+// their compiled evaluators alive. Past the configured limit the oldest
+// parked entries are evicted, which releases their groups. A recorded
+// KTag is the span of the update.
 func (cm *condManager) deactivate(e *entry) {
 	if e.static || !e.active {
 		return
@@ -171,34 +244,44 @@ func (cm *condManager) deactivate(e *entry) {
 	for _, n := range e.nodes {
 		n.removeEntry(e)
 		if len(n.entries) == 0 {
-			g := n.group
-			if n.kind == tag.Equivalence {
-				delete(g.equiv, n.key)
-			} else if n.heapIdx >= 0 {
-				g.heapFor(n.op).remove(n)
-			}
-			if g.empty() {
-				delete(cm.groups, g.exprStr)
-			}
+			cm.detach(n)
 		}
 	}
-	e.nodes = nil
+	clear(e.nodes)
+	e.nodes = e.nodes[:0]
 	if e.noneIdx >= 0 {
 		cm.removeNone(e)
 	}
-	if !e.funcOnly && cm.m.cfg.inactiveLimit > 0 {
-		e.lruElem = cm.lru.PushFront(e)
-		cm.inactive[e.canon] = e
-		for cm.lru.Len() > cm.m.cfg.inactiveLimit {
-			oldest := cm.lru.Remove(cm.lru.Back()).(*entry)
-			delete(cm.inactive, oldest.canon)
-			oldest.lruElem = nil
+	if e.funcOnly || cm.m.cfg.inactiveLimit == 0 {
+		cm.release(e)
+	} else {
+		cm.park(e)
+		for len(cm.inactive) > cm.m.cfg.inactiveLimit {
+			oldest := cm.lru.prev
+			cm.unpark(oldest)
+			cm.release(oldest)
 			cm.m.stats.Evictions++
 		}
 	}
 	if r := cm.m.rec; r != nil {
 		r.Record(obs.KTag, 0, start)
 	}
+}
+
+// park puts an entry on the inactive list, at the front of its ring.
+func (cm *condManager) park(e *entry) {
+	cm.inactive[e.canon] = e
+	e.prev, e.next = &cm.lru, cm.lru.next
+	e.prev.next = e
+	e.next.prev = e
+}
+
+// unpark takes a parked entry off the inactive list.
+func (cm *condManager) unpark(e *entry) {
+	delete(cm.inactive, e.canon)
+	e.prev.next = e.next
+	e.next.prev = e.prev
+	e.prev, e.next = nil, nil
 }
 
 func (cm *condManager) removeNone(e *entry) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -547,6 +548,134 @@ func TestSearchHeapPopAllocFree(t *testing.T) {
 	}
 	w.Cancel()
 	checkHotList(t, m)
+}
+
+// TestEntryReuseAllocFree: reactivating a parked entry rebuilds none of
+// its tag structures. 128 keys of a threshold predicate, and of the
+// producer's disjunction with a boolean flag, are parked on the inactive
+// list; one more resolve-and-retire cycle over them allocates nothing.
+func TestEntryReuseAllocFree(t *testing.T) {
+	const keys = 128
+	for _, src := range []string{"x >= k", "x + k <= c || stop"} {
+		t.Run(src, func(t *testing.T) {
+			m := New()
+			m.NewInt("x", 0)
+			m.NewInt("c", 0)
+			m.NewBool("stop", false)
+			p := m.MustCompile(src)
+			binds := make([][]Binding, keys)
+			for i := range binds {
+				binds[i] = []Binding{BindInt("k", int64(i+1))}
+			}
+			cycle := func() {
+				for _, b := range binds {
+					if err := m.vetPred(p, b); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			cycle()
+			if _, inactive, _, _ := m.DebugCounts(); inactive != keys {
+				t.Fatalf("inactive = %d after one cycle, want %d", inactive, keys)
+			}
+			before := m.Stats().Reuses
+			if a := testing.AllocsPerRun(10, cycle); a != 0 {
+				t.Errorf("reusing a parked entry allocates %v times, want 0", a/keys)
+			}
+			if m.Stats().Reuses == before {
+				t.Error("no cycle reused a parked entry")
+			}
+			checkHotList(t, m)
+		})
+	}
+}
+
+// TestGroupLivesWithCachedEntries: a shared-expression group lives as
+// long as a cached entry names it, so reusing a parked entry leaves its
+// compiled group in place, and the group leaves with the last such entry,
+// so the groups stay bounded by the entry cache. Both registration paths
+// are covered: k > 0 && x >= k has a locals-only atom, which rules out
+// the template and takes the substitution path.
+func TestGroupLivesWithCachedEntries(t *testing.T) {
+	// group returns the group of a shared expression, or nil, and the
+	// number of tag nodes it holds.
+	group := func(m *Monitor, expr string) (*sharedGroup, int) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		g := m.cm.groups[expr]
+		if g == nil {
+			return nil, 0
+		}
+		return g, len(g.equiv) + g.minHeap.Len() + g.maxHeap.Len()
+	}
+	freeNodes := func(m *Monitor) int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return len(m.cm.free)
+	}
+	for _, src := range []string{"x >= k", "k > 0 && x >= k"} {
+		t.Run(src, func(t *testing.T) {
+			m := New(WithInactiveLimit(1))
+			m.NewInt("x", 0)
+			m.NewInt("y", 0)
+			p := m.MustCompile(src)
+			if templated := p.tmpl != nil; templated != (src == "x >= k") {
+				t.Fatalf("template = %v", templated)
+			}
+			p.Arm(BindInt("k", 5)).Cancel()
+			g, tags := group(m, "x")
+			if g == nil || tags != 0 {
+				t.Fatalf("after arm and cancel: group %p with %d tags, want a group with 0", g, tags)
+			}
+			if _, _, groups, _ := m.DebugCounts(); groups != 0 {
+				t.Errorf("DebugCounts groups = %d with no tag in use, want 0", groups)
+			}
+			p.Arm(BindInt("k", 5)).Cancel()
+			if s := m.Stats(); s.Reuses != 1 || s.Registrations != 1 {
+				t.Errorf("registrations/reuses = %d/%d, want 1/1", s.Registrations, s.Reuses)
+			}
+			if again, _ := group(m, "x"); again != g {
+				t.Error("reusing the parked entry replaced its group")
+			}
+			m.MustCompile(strings.ReplaceAll(src, "x", "y")).Arm(BindInt("k", 5)).Cancel()
+			if g, _ := group(m, "x"); g != nil {
+				t.Error("x group outlived its evicted entry")
+			}
+			if g, _ := group(m, "y"); g == nil {
+				t.Error("y group dropped while its entry is parked")
+			}
+			if n := freeNodes(m); n > 1 {
+				t.Errorf("free tag nodes = %d, want at most the inactive limit 1", n)
+			}
+			checkHotList(t, m)
+
+			m0 := New(WithInactiveLimit(0))
+			m0.NewInt("x", 0)
+			m0.MustCompile(src).Arm(BindInt("k", 5)).Cancel()
+			if g, _ := group(m0, "x"); g != nil {
+				t.Error("group outlived its uncached entry under WithInactiveLimit(0)")
+			}
+			if n := freeNodes(m0); n != 0 {
+				t.Errorf("free tag nodes = %d under WithInactiveLimit(0), want 0", n)
+			}
+			checkHotList(t, m0)
+		})
+	}
+	t.Run("static", func(t *testing.T) {
+		m := New(WithInactiveLimit(1))
+		m.NewInt("x", 0)
+		m.NewInt("y", 0)
+		m.MustCompile("x >= 3").Arm().Cancel()
+		g, tags := group(m, "x")
+		for k := range int64(4) {
+			m.MustCompile("y >= k").Arm(BindInt("k", k+1)).Cancel()
+		}
+		if again, againTags := group(m, "x"); g == nil || again != g || tags != 1 || againTags != 1 {
+			t.Errorf("static group %p with %d tags became %p with %d, want it kept with 1",
+				g, tags, again, againTags)
+		}
+		checkHotList(t, m)
+	})
 }
 
 func TestBaselineMonitor(t *testing.T) {

@@ -278,8 +278,7 @@ func (m *Monitor) resolveEntry(p *Predicate) (*entry, error) {
 	if glob.IsFalse() {
 		return nil, errNeverTrue(p.src)
 	}
-	canon := glob.String()
-	return m.cm.getEntry(canon, func() (*entry, error) {
+	return getEntry(m.cm, glob.String(), func(canon string) (*entry, error) {
 		e, err := m.buildEntry(canon, glob, p.isShared())
 		if err != nil {
 			return nil, err
@@ -500,13 +499,20 @@ func (m *Monitor) PendingSignals() int {
 // AutoSynch-T variant).
 func (m *Monitor) Tagging() bool { return m.cfg.tagging }
 
-// DebugCounts returns sizes of the internal structures: active predicate
-// entries, inactive (parked) entries, shared-expression groups, and
-// None-list length. Intended for tests and the ablation benchmarks.
+// DebugCounts returns sizes of the tag structures in use: active
+// predicate entries, inactive (parked) entries, shared-expression groups
+// that hold at least one tag node, and None-list length. A group named
+// only by parked entries holds no tag node and is not counted. Intended
+// for tests and the ablation benchmarks.
 func (m *Monitor) DebugCounts() (active, inactive, groups, none int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.cm.table), len(m.cm.inactive), len(m.cm.groups), len(m.cm.none)
+	for _, g := range m.cm.groups {
+		if !g.empty() {
+			groups++
+		}
+	}
+	return len(m.cm.table), len(m.cm.inactive), groups, len(m.cm.none)
 }
 
 // ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ import (
 
 // DefaultInactiveLimit is the default length bound of the inactive
 // predicate list (§5.2: predicates with no waiting thread are parked for
-// reuse; the oldest are dropped when the list exceeds a threshold). The
-// default comfortably covers the key spaces of the paper's workloads
-// (the parameterized buffer cycles through ~260 distinct globalized
-// predicates); see the abl-inactive experiment for the sensitivity.
+// reuse; the oldest are dropped when the list exceeds a threshold). A
+// parked entry keeps the shared-expression groups it names, with their
+// compiled evaluators, alive, so its reuse rebuilds nothing; its
+// eviction releases them. The default comfortably covers the key spaces
+// of the paper's workloads (the parameterized buffer cycles through ~260
+// distinct globalized predicates); see the abl-inactive experiment for
+// the sensitivity.
 const DefaultInactiveLimit = 512
 
 type config struct {
@@ -50,8 +53,11 @@ func WithoutGenerated() Option {
 	return func(c *config) { c.generated = false }
 }
 
-// WithInactiveLimit bounds the inactive predicate list. Zero disables
-// caching entirely (every deactivated predicate is discarded).
+// WithInactiveLimit bounds the inactive predicate list, and with it the
+// shared-expression groups and compiled evaluators that parked entries
+// keep alive for their reuse, and the recycled tag nodes. Evicting an
+// entry releases its groups. Zero disables caching entirely (every
+// deactivated predicate is discarded, with the groups only it named).
 func WithInactiveLimit(n int) Option {
 	return func(c *config) {
 		if n >= 0 {

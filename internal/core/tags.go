@@ -12,14 +12,18 @@ import (
 // (Fig. 7): a hash table of equivalence tags keyed by the globalized local
 // value, a min-heap of {>, ≥} threshold tags, and a max-heap of {<, ≤}
 // threshold tags. eval computes the shared expression's current value from
-// the monitor cells.
+// the monitor cells. The group lives as long as a cached entry, active or
+// parked, names it (refs): a parked entry keeps its groups' compiled
+// evaluators alive for its reuse, and the eviction or discard of the last
+// entry naming a group releases it.
 type sharedGroup struct {
 	exprStr string
 	eval    expr.IntFn
 	equiv   map[int64]*tagNode
 	minHeap tagHeap // ops > and >=, smallest key at the root
 	maxHeap tagHeap // ops < and <=, largest key at the root
-	waiters int     // total waiters across entries registered here
+	waiters int32   // total waiters across entries registered here
+	refs    int32   // tags of cached entries that name this group
 	hotIdx  int     // index in condManager.hot while waiters > 0, else -1
 }
 

@@ -255,17 +255,16 @@ func (t *predTmpl) tags(keys []int64) []tag.Tag {
 	return out
 }
 
-// identity renders the entry identity for a key vector. The template
-// canon contains $i placeholders, so distinct key vectors cannot collide;
-// appending the raw keys is both unambiguous and cheap.
-func (t *predTmpl) identity(keys []int64) string {
-	buf := make([]byte, 0, len(t.canon)+16*len(keys))
+// appendIdentity appends the entry identity for a key vector to buf. The
+// template canon contains $i placeholders, so distinct key vectors cannot
+// collide; appending the raw keys is both unambiguous and cheap.
+func (t *predTmpl) appendIdentity(buf []byte, keys []int64) []byte {
 	buf = append(buf, t.canon...)
 	for _, k := range keys {
 		buf = append(buf, '\x00')
 		buf = strconv.AppendInt(buf, k, 36)
 	}
-	return string(buf)
+	return buf
 }
 
 // templateEntry is the template slow path of Await: compute keys, then
@@ -287,11 +286,7 @@ func (m *Monitor) templateEntry(p *Predicate) (*entry, error) {
 	for i, fn := range t.keyFns {
 		keys[i] = fn()
 	}
-	canon := t.canon
-	if len(keys) > 0 {
-		canon = t.identity(keys)
-	}
-	e, err := m.cm.getEntry(canon, func() (*entry, error) {
+	build := func(canon string) (*entry, error) {
 		frozen := append([]int64(nil), keys...)
 		evalFn := t.makeEval(frozen)
 		if genEval := p.genEntryEval(); genEval != nil {
@@ -305,7 +300,17 @@ func (m *Monitor) templateEntry(p *Predicate) (*entry, error) {
 			evalFn:   evalFn,
 			conjTags: t.tags(frozen),
 		}, nil
-	})
+	}
+	var e *entry
+	var err error
+	if len(keys) == 0 {
+		// A keyless identity is the template canon: the entry shares its
+		// string instead of copying it.
+		e, err = getEntry(m.cm, t.canon, build)
+	} else {
+		m.cm.id = t.appendIdentity(m.cm.id[:0], keys)
+		e, err = getEntry(m.cm, m.cm.id, build)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -196,9 +196,9 @@ func TestTemplateIdentityDistinguishesKeys(t *testing.T) {
 	if p.tmpl == nil {
 		t.Fatal("no template")
 	}
-	a := p.tmpl.identity([]int64{1})
-	b := p.tmpl.identity([]int64{-1})
-	c := p.tmpl.identity([]int64{1, 2})
+	a := string(p.tmpl.appendIdentity(nil, []int64{1}))
+	b := string(p.tmpl.appendIdentity(nil, []int64{-1}))
+	c := string(p.tmpl.appendIdentity(nil, []int64{1, 2}))
 	if a == b || a == c || b == c {
 		t.Errorf("identities collide: %q %q %q", a, b, c)
 	}
