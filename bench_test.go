@@ -395,34 +395,65 @@ func BenchmarkAblationTagKinds(b *testing.B) {
 	}
 }
 
-// BenchmarkRelayIdleGroups prices the relay search's walk over groups.
-// One op is one Enter/Exit on a monitor that holds hot groups, each with
-// one armed handle whose predicate never holds, beside idle groups, each
-// a static predicate armed and cancelled once, so it keeps its group
-// with no waiter. The search should pay for the hot groups only:
+// BenchmarkRelayIdleGroups prices the relay search per layer of its
+// work. One op is one Enter/Exit on a monitor that holds hot groups, each
+// with one armed handle whose predicate never holds, beside idle groups,
+// each a static predicate armed and cancelled once, so it keeps its group
+// with no waiter. The hot=/idle= rows write nothing, so their exits search
+// no group. Each write= row's op writes one cell, to the value it holds,
+// before its Exit: one writes a cell that one of 512 hot groups reads,
+// all a cell that every hot group reads outside its tag (a search of all
+// 512 groups), and idle a cell that 2,048 idle groups read outside their
+// tags (a fold that steps over them all and searches none):
 //
 //	go test -run xxx -bench 'RelayIdleGroups' -benchmem
 func BenchmarkRelayIdleGroups(b *testing.B) {
+	type row struct {
+		name              string
+		hot, idle         int
+		hotPred, idlePred string // formats over the group index
+		write             string // the cell each op writes, or none
+	}
+	const hotPred, idlePred = "s%d == 1", "t%d >= 1"
+	var rows []row
 	for _, c := range []struct{ hot, idle int }{{1, 0}, {512, 0}, {0, 2048}, {512, 2048}} {
-		b.Run(fmt.Sprintf("hot=%d/idle=%d", c.hot, c.idle), func(b *testing.B) {
+		rows = append(rows, row{fmt.Sprintf("hot=%d/idle=%d", c.hot, c.idle), c.hot, c.idle, hotPred, idlePred, ""})
+	}
+	rows = append(rows,
+		row{"write=one", 512, 0, hotPred, idlePred, "s0"},
+		row{"write=all", 512, 0, "s%d == 1 && z >= 1", idlePred, "z"},
+		row{"write=idle", 0, 2048, hotPred, "t%d >= 1 && z >= 1", "z"},
+	)
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
 			m := autosynch.New()
-			handles := make([]*autosynch.Wait, c.hot)
+			cells := map[string]*autosynch.IntCell{"z": m.NewInt("z", 0)}
+			handles := make([]*autosynch.Wait, r.hot)
 			for i := range handles {
-				m.NewInt(fmt.Sprintf("s%d", i), 0)
-				handles[i] = m.MustCompile(fmt.Sprintf("s%d == 1", i)).Arm()
+				name := fmt.Sprintf("s%d", i)
+				cells[name] = m.NewInt(name, 0)
+				handles[i] = m.MustCompile(fmt.Sprintf(r.hotPred, i)).Arm()
 			}
-			for j := 0; j < c.idle; j++ {
+			for j := 0; j < r.idle; j++ {
 				m.NewInt(fmt.Sprintf("t%d", j), 0)
-				m.MustCompile(fmt.Sprintf("t%d >= 1", j)).Arm().Cancel()
+				m.MustCompile(fmt.Sprintf(r.idlePred, j)).Arm().Cancel()
 			}
-			if got := m.Waiting(); got != c.hot {
-				b.Fatalf("Waiting() = %d, want %d", got, c.hot)
+			if got := m.Waiting(); got != r.hot {
+				b.Fatalf("Waiting() = %d, want %d", got, r.hot)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Enter()
-				m.Exit()
+			if c := cells[r.write]; c != nil {
+				for i := 0; i < b.N; i++ {
+					m.Enter()
+					c.Set(0)
+					m.Exit()
+				}
+			} else {
+				for i := 0; i < b.N; i++ {
+					m.Enter()
+					m.Exit()
+				}
 			}
 			b.StopTimer()
 			for _, w := range handles {

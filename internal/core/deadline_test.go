@@ -369,7 +369,7 @@ func TestDeadlineRelayHandoffOnExpiry(t *testing.T) {
 	if n := m.PendingSignals(); n != 0 {
 		t.Errorf("PendingSignals = %d, want 0", n)
 	}
-	checkHotList(t, m)
+	checkRelayState(t, m)
 }
 
 // TestAwaitDeadlineExpiryWinsRace: once a blocking waiter is woken by

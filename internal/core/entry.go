@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/dnf"
 	"repro/internal/expr"
+	"repro/internal/linear"
 	"repro/internal/policy"
 	"repro/internal/tag"
 )
@@ -22,8 +25,9 @@ type entry struct {
 	waiters    []*Wait // registered waiters, parked and armed alike
 	unnotified int     // waiters with no notification in flight
 
-	evalFn   func() bool // whole-predicate evaluation against the cells
-	conjTags []tag.Tag   // tag analysis per conjunction (for registration)
+	evalFn   func() bool   // whole-predicate evaluation against the cells
+	conjTags []tag.Tag     // tag analysis per conjunction (for registration)
+	outside  *outsideReads // cells read outside the tags; nil for most entries
 
 	nodes   []*tagNode // tag nodes the entry is registered in (deduplicated)
 	noneIdx int        // index in the None scan list, -1 when absent
@@ -36,6 +40,50 @@ type entry struct {
 	// UsePolicy): it refines which of THIS entry's waiters a signal
 	// picks, taking precedence over the monitor policy within the entry.
 	policy policy.Policy
+}
+
+// outsideReads lists, per conjunction, the cells a tagged conjunction
+// reads outside its tag's shared expression, such as y in
+// x >= k && y != 1. A write to one can turn the conjunction true while its
+// tag group's value stands still, so while the entry is cached each such
+// cell lists the conjunction's group as a reader (condManager.retain). A
+// template computes the lists once for all its entries; a predicate with
+// no such cell has none.
+type outsideReads [][]*cellWatch
+
+// readsOutside returns the cells conjunction i reads outside its tag.
+func (e *entry) readsOutside(i int) []*cellWatch {
+	if e.outside == nil {
+		return nil
+	}
+	return (*e.outside)[i]
+}
+
+// newOutsideReads keeps per-conjunction lists, or nil when all are empty.
+func newOutsideReads(conjs [][]*cellWatch) *outsideReads {
+	for _, c := range conjs {
+		if len(c) > 0 {
+			o := outsideReads(conjs)
+			return &o
+		}
+	}
+	return nil
+}
+
+// cellsOutside returns the cells named by names, once each, that the tag
+// form f does not read.
+func (m *Monitor) cellsOutside(f linear.Form, names []string) []*cellWatch {
+	var out []*cellWatch
+	for _, name := range names {
+		s, ok := m.vars[name]
+		if _, inTag := f.Coeffs[name]; inTag || !ok {
+			continue
+		}
+		if c := s.watch(); !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // signalable reports whether the entry has a waiter without a pending
@@ -107,6 +155,18 @@ func (m *Monitor) buildEntry(canon string, glob dnf.DNF, static bool) (*entry, e
 		return false
 	}
 	e.conjTags = tag.Analyze(glob)
+	outside := make([][]*cellWatch, len(glob.Conjs))
+	for i, c := range glob.Conjs {
+		if e.conjTags[i].Kind == tag.None {
+			continue
+		}
+		var names []string
+		for _, a := range c.Atoms {
+			names = append(names, expr.Vars(a)...)
+		}
+		outside[i] = m.cellsOutside(e.conjTags[i].Form, names)
+	}
+	e.outside = newOutsideReads(outside)
 	return e, nil
 }
 

@@ -145,7 +145,7 @@ func TestFuzzMixedPredicateShapes(t *testing.T) {
 			if active > 40 { // static predicates only; bounded by distinct shapes
 				t.Errorf("active entries after quiescence = %d", active)
 			}
-			checkHotList(t, m)
+			checkRelayState(t, m)
 		})
 	}
 }
@@ -308,6 +308,7 @@ func TestFuzzWaiterChurn(t *testing.T) {
 			}
 			woken := m.Stats().Wakeups
 			m.Do(func() { x.Add(2) })
+			checkRelayState(t, m)
 			testutil.Eventually(5*time.Millisecond, 50*time.Microsecond, func() bool {
 				return m.Stats().Wakeups > woken || m.Waiting() == 0
 			})

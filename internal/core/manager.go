@@ -10,8 +10,11 @@ import (
 )
 
 // condManager owns the predicate table, the tag structures, and the
-// inactive list of one monitor (§5.2, Fig. 7). Every method runs under the
-// monitor lock.
+// inactive list of one monitor (§5.2, Fig. 7). Its relay search is
+// write-driven: a cell write puts the cell on dirty, and findTrue visits
+// only the groups with waiters that read a written cell, plus the
+// candidates an earlier search left unfinished. Every method runs under
+// the monitor lock.
 type condManager struct {
 	m *Monitor
 
@@ -25,7 +28,8 @@ type condManager struct {
 	// parked entry keeps its groups' compiled evaluators alive, and the
 	// eviction or discard of the last entry naming a group releases it.
 	groups map[string]*sharedGroup
-	hot    []*sharedGroup // groups with waiters, the relay search's walk
+	dirty  []*cellWatch   // cells written since the last search folded them
+	cand   []*sharedGroup // groups the relay search still has to visit, in order
 	none   []*entry       // entries needing exhaustive search
 	free   []*tagNode     // detached tag nodes for reuse, at most inactiveLimit
 	backup []*tagNode     // searchHeap's popped roots, reused (searches never nest)
@@ -110,10 +114,13 @@ func (cm *condManager) activate(e *entry, fresh bool) {
 }
 
 // retain takes a fresh entry's references on the groups its tags name,
-// creating a group, with its compiled evaluator, on first use. A tag
-// whose shared expression does not compile (an undeclared variable in a
-// hand-built DNF) becomes the None tag, so the entry is searched
-// exhaustively and names the same groups for as long as it is cached.
+// creating a group, with its compiled evaluator, on first use, and links
+// each cell a tagged conjunction reads to the conjunction's group: the
+// group's own cells when it is created, the cells read outside the tag
+// for each entry. A tag whose shared expression does not compile (an
+// undeclared variable in a hand-built DNF) becomes the None tag, so the
+// entry is searched exhaustively and names the same groups for as long
+// as it is cached.
 func (cm *condManager) retain(e *entry) {
 	if !cm.m.cfg.tagging {
 		return
@@ -133,20 +140,26 @@ func (cm *condManager) retain(e *entry) {
 			g = &sharedGroup{
 				exprStr: tg.Expr,
 				eval:    eval,
-				hotIdx:  -1,
 				equiv:   map[int64]*tagNode{},
 				minHeap: tagHeap{min: true},
 				maxHeap: tagHeap{min: false},
 			}
 			cm.groups[tg.Expr] = g
+			for name := range tg.Form.Coeffs {
+				cm.m.vars[name].watch().link(g)
+			}
 		}
 		g.refs++
+		for _, c := range e.readsOutside(i) {
+			c.link(g)
+		}
 	}
 }
 
-// release drops the group references of an entry that leaves the cache,
-// evicted or discarded. A group no cached entry names any more holds no
-// tag node, and is dropped with its compiled evaluator.
+// release drops the group references and reader links of an entry that
+// leaves the cache, evicted or discarded. A group no cached entry names
+// any more holds no tag node, and is dropped with its compiled evaluator,
+// its own cells' links and its place among the search candidates.
 func (cm *condManager) release(e *entry) {
 	if !cm.m.cfg.tagging {
 		return
@@ -157,10 +170,21 @@ func (cm *condManager) release(e *entry) {
 			continue
 		}
 		g := cm.groups[tg.Expr]
-		g.refs--
-		if g.refs == 0 {
-			delete(cm.groups, tg.Expr)
+		for _, c := range e.readsOutside(i) {
+			c.unlink(g)
 		}
+		g.refs--
+		if g.refs != 0 {
+			continue
+		}
+		for name := range tg.Form.Coeffs {
+			cm.m.vars[name].watch().unlink(g)
+		}
+		if g.cand {
+			i := slices.Index(cm.cand, g)
+			cm.cand = slices.Delete(cm.cand, i, i+1)
+		}
+		delete(cm.groups, tg.Expr)
 	}
 }
 
@@ -394,7 +418,10 @@ func (cm *condManager) notify(w *Wait) {
 }
 
 // register attaches a waiter to its entry and updates the per-group
-// waiter totals and the monitor-wide Waiting count. First registration
+// waiter totals and the monitor-wide Waiting count. Every caller has just
+// found the entry's predicate false in this lock hold (or notifies the
+// waiter at once), which is what lets findTrue skip the waiter's groups
+// until a cell they read is written. First registration
 // stamps the waiter's arrival seq (the FIFO/LIFO sort key — the waiters
 // slice itself is swap-removed and order-free) and its wait-start time;
 // both survive futile-wake re-registration so a policy cannot demote a
@@ -415,20 +442,15 @@ func (cm *condManager) register(w *Wait) {
 	e.waiters = append(e.waiters, w)
 	e.unnotified++
 	for _, n := range e.nodes {
-		g := n.group
-		if g.waiters == 0 {
-			g.hotIdx = len(cm.hot)
-			cm.hot = append(cm.hot, g)
-		}
-		g.waiters++
+		n.group.waiters++
 	}
 	cm.m.waiting++
 }
 
 // unregister detaches a waiter from its entry. An entry's node set is
 // stable while it has waiters (deactivation requires an empty waiter
-// list), so the group bookkeeping is exact: a group leaves the hot list
-// when its last waiter does, and a swap-remove fills its slot.
+// list), so the per-group waiter totals are exact. A group that loses
+// its last waiter may stay a search candidate; the next search drops it.
 func (cm *condManager) unregister(w *Wait) {
 	e := w.e
 	last := len(e.waiters) - 1
@@ -442,48 +464,77 @@ func (cm *condManager) unregister(w *Wait) {
 		e.unnotified--
 	}
 	for _, n := range e.nodes {
-		g := n.group
-		g.waiters--
-		if g.waiters == 0 {
-			end := len(cm.hot) - 1
-			tail := cm.hot[end]
-			cm.hot[g.hotIdx] = tail
-			tail.hotIdx = g.hotIdx
-			cm.hot[end] = nil
-			cm.hot = cm.hot[:end]
-			g.hotIdx = -1
-		}
+		n.group.waiters--
 	}
 	cm.m.waiting--
 }
 
 // findTrue locates a signalable entry whose predicate currently holds.
-// With tagging it walks only the groups that have waiters, in hot-list
-// order: a group joins at the end when it gains a waiter, and when it
-// loses its last one the list's last group takes its slot. The pick is
-// thus a function of the operation sequence alone. In each group the
-// equivalence hash table is probed first, then the threshold heaps; the
-// None list comes last (§4.3.2). Without tagging every entry in the None
-// list (which then holds all of them) is scanned.
+// Without tagging it scans the None list, which then holds every entry.
+// With tagging the search is write-driven. It first folds the groups with
+// waiters that read a cell written since the last fold (cm.dirty) into
+// the candidate list cm.cand, each group once, and then searches the
+// candidates in order: the equivalence hash table first, then the
+// threshold heaps (§4.3.2). A candidate that yields no signalable true
+// entry leaves the list; the one that yields the entry stays at the
+// front with the candidates not yet visited, so the next search resumes
+// there. The None list comes last. The order is a function of the
+// operation sequence alone, so relay picks replay.
+//
+// No wake-up is lost: with no signal pending, an active entry with an
+// unnotified waiter that is true is on the None list, or one of its true
+// tagged conjunctions has its group in cand or reads a dirty cell,
+// which lists that group as a reader. This holds because an entry's
+// truth changes only through a cell write; because a waiter is left
+// unnotified (register, armEntry, rearm) only in a lock hold that found
+// its predicate false; and because a group leaves cand only after a
+// search found no signalable true entry through it.
+//
+// A write costs the fold a step over each group reading the cell, with
+// waiters or not, so a cell read by many idle groups (outside their tags,
+// say) makes every search that follows a write to it pay for them.
 func (cm *condManager) findTrue() *entry {
 	if cm.m.cfg.tagging {
-		for _, g := range cm.hot {
-			v := g.eval()
-			if node, ok := g.equiv[v]; ok {
-				cm.m.stats.TagChecks++
-				if e := cm.firstTrue(node.entries); e != nil {
-					return e
+		for i, c := range cm.dirty {
+			c.dirty = false
+			for _, r := range c.readers {
+				if g := r.g; g.waiters > 0 && !g.cand {
+					g.cand = true
+					cm.cand = append(cm.cand, g)
 				}
 			}
-			if e := cm.searchHeap(&g.minHeap, v); e != nil {
-				return e
-			}
-			if e := cm.searchHeap(&g.maxHeap, v); e != nil {
-				return e
-			}
+			cm.dirty[i] = nil
 		}
+		cm.dirty = cm.dirty[:0]
+		for i, g := range cm.cand {
+			if e := cm.searchGroup(g); e != nil {
+				n := copy(cm.cand, cm.cand[i:])
+				clear(cm.cand[n:])
+				cm.cand = cm.cand[:n]
+				return e
+			}
+			g.cand = false
+		}
+		clear(cm.cand)
+		cm.cand = cm.cand[:0]
 	}
 	return cm.firstTrue(cm.none)
+}
+
+// searchGroup returns a signalable true entry reached through a tag of g
+// that holds, or nil: the equivalence probe, then both threshold heaps.
+func (cm *condManager) searchGroup(g *sharedGroup) *entry {
+	v := g.eval()
+	if node, ok := g.equiv[v]; ok {
+		cm.m.stats.TagChecks++
+		if e := cm.firstTrue(node.entries); e != nil {
+			return e
+		}
+	}
+	if e := cm.searchHeap(&g.minHeap, v); e != nil {
+		return e
+	}
+	return cm.searchHeap(&g.maxHeap, v)
 }
 
 // firstTrue returns the first signalable entry whose predicate evaluates

@@ -278,7 +278,7 @@ func TestGroupsCleanedUp(t *testing.T) {
 	if _, inactive, groups, _ := m.DebugCounts(); groups != 0 || inactive != 1 {
 		t.Errorf("groups=%d inactive=%d after wait, want 0/1", groups, inactive)
 	}
-	checkHotList(t, m)
+	checkRelayState(t, m)
 }
 
 func TestConcurrentDistinctPredicates(t *testing.T) {
@@ -324,7 +324,7 @@ func TestConcurrentDistinctPredicates(t *testing.T) {
 		}
 		wg.Wait()
 	})
-	checkHotList(t, m)
+	checkRelayState(t, m)
 }
 
 func TestDebugCountsShape(t *testing.T) {
@@ -396,51 +396,77 @@ func TestHeapStressManyKeys(t *testing.T) {
 		}
 		wg.Wait()
 	})
-	checkHotList(t, m)
+	checkRelayState(t, m)
 }
 
-// checkHotList asserts the hot-list invariant of the condition manager:
-// cm.hot holds exactly the groups of cm.groups that have waiters, each
-// once and at its own hotIdx, and every other group has hotIdx -1.
-func checkHotList(t *testing.T, m *Monitor) {
+// checkRelayState asserts the condition manager's relay-search state at
+// a lock release: cand holds each group at most once, with its flag set
+// (and no other group has the flag); every group a cell lists as a reader
+// is a live group of cm.groups, so no stale reader survives an eviction;
+// and, with no signal pending, no active or None entry with an
+// unnotified waiter evaluates true (Def. 4), the state the write-driven
+// search relies on.
+func checkRelayState(t *testing.T, m *Monitor) {
 	t.Helper()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	listed := map[*sharedGroup]bool{}
-	for i, g := range m.cm.hot {
+	for _, g := range m.cm.cand {
 		if listed[g] {
-			t.Errorf("group %q is on the hot list twice", g.exprStr)
+			t.Errorf("group %q is a search candidate twice", g.exprStr)
 		}
 		listed[g] = true
-		if g.hotIdx != i {
-			t.Errorf("group %q at hot slot %d has hotIdx %d", g.exprStr, i, g.hotIdx)
+		if !g.cand {
+			t.Errorf("candidate group %q has its flag clear", g.exprStr)
 		}
 		if m.cm.groups[g.exprStr] != g {
-			t.Errorf("hot group %q is not in the group index", g.exprStr)
+			t.Errorf("candidate group %q is not in the group index", g.exprStr)
 		}
 	}
 	for _, g := range m.cm.groups {
-		switch {
-		case g.waiters > 0 && !listed[g]:
-			t.Errorf("group %q has %d waiters but is not on the hot list", g.exprStr, g.waiters)
-		case g.waiters == 0 && listed[g]:
-			t.Errorf("group %q has no waiters but is on the hot list", g.exprStr)
-		case !listed[g] && g.hotIdx != -1:
-			t.Errorf("group %q is off the hot list with hotIdx %d", g.exprStr, g.hotIdx)
+		if g.cand && !listed[g] {
+			t.Errorf("group %q is flagged but not a search candidate", g.exprStr)
 		}
+	}
+	for name, s := range m.vars {
+		for _, r := range s.watch().readers {
+			if m.cm.groups[r.g.exprStr] != r.g {
+				t.Errorf("cell %s lists reader group %q, which is not in the group index", name, r.g.exprStr)
+			}
+		}
+	}
+	if m.cm.pending > 0 {
+		return
+	}
+	holds := func(e *entry) {
+		if e.signalable() && e.evalFn() {
+			t.Errorf("no signal pending, yet %q holds with an unnotified waiter", e.canon)
+		}
+	}
+	for _, e := range m.cm.table {
+		holds(e)
+	}
+	for _, e := range m.cm.none {
+		holds(e)
 	}
 }
 
-// hotGroups returns the length of the hot list.
+// hotGroups returns the number of groups with waiters.
 func hotGroups(m *Monitor) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.cm.hot)
+	n := 0
+	for _, g := range m.cm.groups {
+		if g.waiters > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // TestHotListSkipsColdGroups: a static predicate keeps its group after
-// its only waiter leaves, but a group without waiters is off the hot
-// list, so the relay search never steps over it.
+// its only waiter leaves, but a group without waiters holds no waiter
+// count, so the relay search never takes it as a candidate.
 func TestHotListSkipsColdGroups(t *testing.T) {
 	m := New()
 	const cold = 2048
@@ -457,13 +483,13 @@ func TestHotListSkipsColdGroups(t *testing.T) {
 	if n := hotGroups(m); n != 0 {
 		t.Errorf("hot groups = %d with no waiter, want 0", n)
 	}
-	checkHotList(t, m)
+	checkRelayState(t, m)
 
 	d := startWaiter(t, m, "t7 >= 1")
 	if n := hotGroups(m); n != 1 {
 		t.Errorf("hot groups = %d with one parked waiter, want 1", n)
 	}
-	checkHotList(t, m)
+	checkRelayState(t, m)
 	m.Do(func() { cells[7].Set(1) })
 	waitTimeout(t, 5*time.Second, "parked waiter", func() { <-d })
 	if n := hotGroups(m); n != 0 {
@@ -472,7 +498,7 @@ func TestHotListSkipsColdGroups(t *testing.T) {
 	if _, _, groups, _ := m.DebugCounts(); groups != cold {
 		t.Errorf("groups = %d after the claim, want %d", groups, cold)
 	}
-	checkHotList(t, m)
+	checkRelayState(t, m)
 }
 
 // TestRelayOrderReplays: the relay search's pick depends only on the
@@ -518,7 +544,7 @@ func TestRelayOrderReplays(t *testing.T) {
 				t.Fatalf("no handle ready after %d claims", len(order))
 			}
 		}
-		checkHotList(t, m)
+		checkRelayState(t, m)
 		return order
 	}
 	if a, b := claimOrder(), claimOrder(); !slices.Equal(a, b) {
@@ -526,13 +552,65 @@ func TestRelayOrderReplays(t *testing.T) {
 	}
 }
 
+// TestRelayAfterWriteOutsideTag: a conjunction can turn true through a
+// cell its tag does not read, while the tag's group value stands still.
+// For each shape, a handle is armed whose tag atom already holds; one Do
+// then writes only a cell outside the tag's form, and its exit must find
+// the handle. The last shape has a locals-only atom, so it takes the
+// substitution path instead of the template.
+func TestRelayAfterWriteOutsideTag(t *testing.T) {
+	for _, c := range []struct {
+		pred  string
+		x, y  int64 // initial values; the tag atom holds
+		write func(x, y *IntCell)
+	}{
+		{"y == 1 && x >= k", 0, 1, func(x, _ *IntCell) { x.Set(5) }},
+		{"x >= k && y >= 1", 5, 0, func(_, y *IntCell) { y.Set(1) }},
+		{"x >= k && y != 1", 5, 1, func(_, y *IntCell) { y.Set(2) }},
+		{"!stop && x >= k", 0, 0, func(x, _ *IntCell) { x.Add(5) }},
+		{"x >= k && x + y >= 7", 5, 0, func(_, y *IntCell) { y.Add(2) }},
+		{"k > 0 && y == 1 && x >= k", 0, 1, func(x, _ *IntCell) { x.Set(5) }},
+	} {
+		t.Run(c.pred, func(t *testing.T) {
+			m := New()
+			x := m.NewInt("x", c.x)
+			y := m.NewInt("y", c.y)
+			m.NewBool("stop", false)
+			p := m.MustCompile(c.pred)
+			if templated := p.tmpl != nil; templated == strings.HasPrefix(c.pred, "k > 0") {
+				t.Fatalf("template = %v", templated)
+			}
+			w := p.Arm(BindInt("k", 5))
+			select {
+			case <-w.Ready():
+				t.Fatal("handle notified before the write")
+			default:
+			}
+			checkRelayState(t, m)
+			m.Do(func() { c.write(x, y) })
+			select {
+			case <-w.Ready():
+			default:
+				t.Fatal("handle not notified by the exit after the write")
+			}
+			if err := w.Claim(); err != nil {
+				t.Fatalf("Claim: %v", err)
+			}
+			m.Exit()
+			checkRelayState(t, m)
+		})
+	}
+}
+
 // TestSearchHeapPopAllocFree: a threshold root that holds but has no
 // signalable waiter (its handle took a free notification at arm) is
-// popped and reinserted by every relay search. The pop list is reused,
-// so an Enter/Exit over it allocates nothing.
+// popped and reinserted by every relay search. Each op writes x, the
+// group's cell, so that its exit searches the group; the pop list and
+// the search's dirty and candidate lists are reused, so the op
+// allocates nothing.
 func TestSearchHeapPopAllocFree(t *testing.T) {
 	m := New()
-	m.NewInt("x", 1)
+	x := m.NewInt("x", 1)
 	w := m.MustCompile("x >= 1").Arm()
 	select {
 	case <-w.Ready():
@@ -540,14 +618,14 @@ func TestSearchHeapPopAllocFree(t *testing.T) {
 		t.Fatal("handle on a true predicate not notified at arm")
 	}
 	before := m.Stats().TagChecks
-	if a := testing.AllocsPerRun(100, func() { m.Enter(); m.Exit() }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { m.Enter(); x.Set(1); m.Exit() }); a != 0 {
 		t.Errorf("Enter/Exit over a popped heap root allocates %v, want 0", a)
 	}
 	if m.Stats().TagChecks == before {
 		t.Error("no relay search examined the heap root")
 	}
 	w.Cancel()
-	checkHotList(t, m)
+	checkRelayState(t, m)
 }
 
 // TestEntryReuseAllocFree: reactivating a parked entry rebuilds none of
@@ -585,7 +663,7 @@ func TestEntryReuseAllocFree(t *testing.T) {
 			if m.Stats().Reuses == before {
 				t.Error("no cycle reused a parked entry")
 			}
-			checkHotList(t, m)
+			checkRelayState(t, m)
 		})
 	}
 }
@@ -647,7 +725,7 @@ func TestGroupLivesWithCachedEntries(t *testing.T) {
 			if n := freeNodes(m); n > 1 {
 				t.Errorf("free tag nodes = %d, want at most the inactive limit 1", n)
 			}
-			checkHotList(t, m)
+			checkRelayState(t, m)
 
 			m0 := New(WithInactiveLimit(0))
 			m0.NewInt("x", 0)
@@ -658,7 +736,7 @@ func TestGroupLivesWithCachedEntries(t *testing.T) {
 			if n := freeNodes(m0); n != 0 {
 				t.Errorf("free tag nodes = %d under WithInactiveLimit(0), want 0", n)
 			}
-			checkHotList(t, m0)
+			checkRelayState(t, m0)
 		})
 	}
 	t.Run("static", func(t *testing.T) {
@@ -674,7 +752,7 @@ func TestGroupLivesWithCachedEntries(t *testing.T) {
 			t.Errorf("static group %p with %d tags became %p with %d, want it kept with 1",
 				g, tags, again, againTags)
 		}
-		checkHotList(t, m)
+		checkRelayState(t, m)
 	})
 }
 

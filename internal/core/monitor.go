@@ -54,7 +54,7 @@ func New(opts ...Option) *Monitor {
 func (m *Monitor) NewInt(name string, init int64) *IntCell {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := &IntCell{v: init, name: name}
+	c := &IntCell{v: init, name: name, cellWatch: cellWatch{cm: m.cm}}
 	m.declare(name, &varSlot{
 		typ:  expr.TypeInt,
 		get:  func() int64 { return c.v },
@@ -68,7 +68,7 @@ func (m *Monitor) NewInt(name string, init int64) *IntCell {
 func (m *Monitor) NewBool(name string, init bool) *BoolCell {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := &BoolCell{v: init, name: name}
+	c := &BoolCell{v: init, name: name, cellWatch: cellWatch{cm: m.cm}}
 	m.declare(name, &varSlot{
 		typ: expr.TypeBool,
 		get: func() int64 {

@@ -24,7 +24,7 @@ type sharedGroup struct {
 	maxHeap tagHeap // ops < and <=, largest key at the root
 	waiters int32   // total waiters across entries registered here
 	refs    int32   // tags of cached entries that name this group
-	hotIdx  int     // index in condManager.hot while waiters > 0, else -1
+	cand    bool    // on condManager.cand
 }
 
 func (g *sharedGroup) empty() bool {

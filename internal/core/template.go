@@ -46,6 +46,7 @@ type predTmpl struct {
 	keyFns   []expr.IntFn // key computations over the local binding slots
 	keyNodes []expr.Node  // the key expressions themselves, for codegen
 	canon    string       // template identity with $i key placeholders
+	outside  *outsideReads
 }
 
 // buildTemplate analyzes p's DNF into a template, or returns nil when the
@@ -58,6 +59,7 @@ func (m *Monitor) buildTemplate(p *Predicate) *predTmpl {
 	}
 	t := &predTmpl{}
 	var canon []byte
+	var outside [][]*cellWatch
 	for ci, c := range p.d.Conjs {
 		if ci > 0 {
 			canon = append(canon, " || "...)
@@ -93,9 +95,19 @@ func (m *Monitor) buildTemplate(p *Predicate) *predTmpl {
 		if ct.tagIdx < 0 {
 			ct.tagIdx = thresholdIdx // may stay -1 → None
 		}
+		var out []*cellWatch
+		if ct.tagIdx >= 0 {
+			var names []string
+			for _, at := range ct.atoms {
+				names = append(names, at.form.Vars()...)
+			}
+			out = m.cellsOutside(ct.atoms[ct.tagIdx].form, names)
+		}
+		outside = append(outside, out)
 		t.conjs = append(t.conjs, ct)
 	}
 	t.canon = string(canon)
+	t.outside = newOutsideReads(outside)
 	return t
 }
 
@@ -299,6 +311,7 @@ func (m *Monitor) templateEntry(p *Predicate) (*entry, error) {
 			noneIdx:  -1,
 			evalFn:   evalFn,
 			conjTags: t.tags(frozen),
+			outside:  t.outside,
 		}, nil
 	}
 	var e *entry

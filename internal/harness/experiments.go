@@ -348,13 +348,14 @@ func AblationTagKinds(cfg Config) Report {
 }
 
 // runTagShape parks `waiters` unsatisfiable waiters of one predicate
-// shape, then drives totalOps empty monitor operations: every exit runs
-// the relay search over the parked predicates, isolating the pruning cost
-// of the tag kind. A done flag in the predicate releases everyone at the
-// end.
+// shape, then drives totalOps monitor operations that each store x's
+// value 0 again: the relay search visits only groups whose cells were
+// written, so the write makes every exit search the parked predicates,
+// isolating the pruning cost of the tag kind. A done flag in the
+// predicate releases everyone at the end.
 func runTagShape(pred string, waiters, totalOps int) problems.Result {
 	m := core.New()
-	m.NewInt("x", 0) // stays 0: keys 1..waiters never satisfied
+	x := m.NewInt("x", 0) // stays 0: keys 1..waiters never satisfied
 	done := m.NewBool("done", false)
 	shaped := m.MustCompile(pred + " || done")
 	finished := make(chan struct{}, waiters)
@@ -374,7 +375,7 @@ func runTagShape(pred string, waiters, totalOps int) problems.Result {
 	m.ResetStats()
 	start := time.Now()
 	for i := 0; i < totalOps; i++ {
-		m.Do(func() {})
+		m.Do(func() { x.Set(0) })
 	}
 	elapsed := time.Since(start)
 	st := m.Stats()
