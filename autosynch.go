@@ -222,9 +222,10 @@
 //
 // # Sharding
 //
-// One Monitor is one lock and one condition manager, and the relay
-// search on every exit considers every waiting condition registered with
-// it — tagging prunes within a condition's group, not across groups.
+// One Monitor is one lock and one condition manager. The relay search on
+// an exit visits only the waiting conditions that read a cell the exit's
+// critical section wrote (tagging prunes within each), but every
+// operation serializes on the one lock.
 // When state and waiters partition by key, a Sharded monitor (NewSharded)
 // splits them across S inner Monitors: keyed operations on different
 // shards run concurrently, all the guarantees above hold per shard, and

@@ -311,9 +311,10 @@ func BenchmarkSelect(b *testing.B) {
 // BenchmarkShardScaling is the scaling proof of the sharded monitor: the
 // sharded-kv workload at a fixed 256 goroutines, swept over partition
 // counts, with shards=1 as the single-core.Monitor reference. A single
-// monitor pays the relay search across every resident per-key predicate
-// group on every exit, plus all the lock traffic; 16 shards divide both
-// by 16. Compare ns/op across the sub-benchmarks (benchstat), or read the
+// monitor takes all the lock traffic, and 16 shards divide it by 16. Its
+// relay search visits only the groups whose cells an exit wrote, so the
+// standing per-pair sessions cost no exit a search until teardown.
+// Compare ns/op across the sub-benchmarks (benchstat), or read the
 // ops/s metric directly; the scale-shards experiment is the multi-trial
 // sweep with the same series:
 //

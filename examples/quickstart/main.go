@@ -26,10 +26,9 @@
 // Guard.Do), with the unlock guaranteed even if the body panics.
 //
 // The third act is sharding: one monitor is one lock and one condition
-// manager, and the relay search on every exit considers every waiting
-// condition registered with it — tags prune within a condition's group,
-// not across groups, so a monitor carrying hundreds of independent
-// waiters pays a sweep per exit however good the tags are. When state
+// manager, so every operation on it serializes, however few of its
+// waiting conditions an exit's writes touch (the relay search visits
+// only those). When state
 // and waiters partition by key, a Sharded monitor splits them across S
 // inner monitors (each with its own lock, condition manager, and tag
 // index): keyed operations on different shards run concurrently, relay

@@ -36,16 +36,19 @@
 // # When to shard
 //
 // One Monitor is one lock and one condition manager: every entry and
-// exit serializes, and the relay search on each exit considers every
-// shared-expression group with a waiter. Predicate tagging
-// makes the search within a group O(1)-ish, but it cannot prune across
-// groups — a monitor carrying N independent waiting conditions (per-key
-// watchers, per-session completion waits) pays an O(N) sweep on every
-// exit no matter how good the tags are. When state partitions cleanly by
-// key and waiters are keyed too, use a sharded monitor (internal/shard,
-// re-exported as autosynch.Sharded): S inner Monitors, each with its own
-// lock, condition manager, and tag index, so both the lock traffic and
-// the standing group population divide by S. Every per-shard guarantee
+// exit serializes. The relay search on an exit visits only the
+// shared-expression groups with waiters that read a cell written since a
+// search last found nothing in them, and predicate tagging makes the
+// search within a group O(1)-ish, so a monitor carrying N independent
+// waiting conditions (per-key watchers, per-session completion waits)
+// pays per exit for the conditions its writes touched, not for all N. A
+// write to a cell that many groups read (a shared stop flag, say) still
+// visits each of them. What one monitor cannot divide is its lock. When
+// state partitions cleanly by key and waiters are keyed too, use a
+// sharded monitor (internal/shard, re-exported as autosynch.Sharded): S
+// inner Monitors, each with its own lock, condition manager, and tag
+// index, so the lock traffic and the tag structures divide by S and
+// operations on different shards run in parallel. Every per-shard guarantee
 // of this package survives unchanged, because each shard IS a Monitor:
 // relay invariance holds shard-locally, signals are relayed (never
 // broadcast), and tags prune within each shard's groups.

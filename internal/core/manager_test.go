@@ -602,6 +602,46 @@ func TestRelayAfterWriteOutsideTag(t *testing.T) {
 	}
 }
 
+// TestRelayResumesAtFoundGroup: a search that finds a waiter keeps its
+// group and the groups it has not visited as candidates, so a chain of
+// claims that write nothing still reaches every waiter one write made
+// true. Two handles each on x >= 1 and y == 1 turn true in one Do.
+func TestRelayResumesAtFoundGroup(t *testing.T) {
+	m := New()
+	x := m.NewInt("x", 0)
+	y := m.NewInt("y", 0)
+	var ws []*Wait
+	for range 2 {
+		ws = append(ws, m.MustCompile("x >= 1").Arm(), m.MustCompile("y == 1").Arm())
+	}
+	m.Do(func() {
+		x.Set(1)
+		y.Set(1)
+	})
+	for claimed := 0; claimed < len(ws); claimed++ {
+		i := slices.IndexFunc(ws, func(w *Wait) bool {
+			if w == nil {
+				return false
+			}
+			select {
+			case <-w.Ready():
+				return true
+			default:
+				return false
+			}
+		})
+		if i < 0 {
+			t.Fatalf("no handle ready after %d claims", claimed)
+		}
+		if err := ws[i].Claim(); err != nil {
+			t.Fatalf("Claim: %v", err)
+		}
+		m.Exit()
+		ws[i] = nil
+		checkRelayState(t, m)
+	}
+}
+
 // TestSearchHeapPopAllocFree: a threshold root that holds but has no
 // signalable waiter (its handle took a free notification at arm) is
 // popped and reinserted by every relay search. Each op writes x, the

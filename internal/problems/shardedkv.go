@@ -36,8 +36,7 @@ const kvWindow = 8
 // version r" — the per-key waiter pattern of a watch API. State is
 // hash-striped across ShardCount() partitions; every key's version cell,
 // its waiters, and its predicate entries live on the owner shard only, so
-// operations on independent keys never share a lock and the relay search
-// on each exit walks one shard's predicate groups instead of all of them.
+// operations on independent keys never share a lock.
 //
 // threads goroutines run in publisher/subscriber pairs (threads/2 pairs).
 // Pair i's two sides draw the same seeded key sequence, so the subscriber
@@ -51,13 +50,13 @@ const kvWindow = 8
 // Each pair also holds a standing watch session: a goroutine parked on
 // the pair's shutdown flag for the entire measured phase and released
 // only after the traffic completes — the long-lived watches a watch-API
-// server carries while write traffic flows. The sessions are the scaling
-// crux: every one is a waiter on its own shared expression (its session
-// cell), so a single monitor carries one predicate group per pair and the
-// relay search on EVERY monitor exit walks all of them — a cross-group
-// scan that predicate tagging cannot prune (tags prune within a group,
-// not across). Sharding divides that standing population by the shard
-// count, which is where the scale-shards sweep gets its slope.
+// server carries while write traffic flows. Every session is a waiter on
+// its own shared expression (its session cell), so a single monitor
+// carries one standing predicate group per pair. The relay search visits
+// a group only when a cell it reads is written, and a session cell is
+// written only at teardown, so the standing sessions cost the exits of
+// the measured phase nothing. Sharding divides the lock traffic, which
+// is where the scale-shards sweep gets its slope.
 //
 // The automatic variants additionally track total outstanding versions
 // (puts minus observations) in a cross-shard aggregate Counter with

@@ -1,15 +1,14 @@
 // Package shard implements a hash-partitioned automatic-signal monitor:
 // protected state is split by key across S inner core.Monitor instances,
 // each with its own mutex, condition manager, tag index, and entry lists,
-// so operations on independent keys proceed in parallel and the relay
-// search on every exit walks only the predicate groups of one shard.
+// so operations on independent keys proceed in parallel.
 //
-// A single monitor's relay cost grows with the number of co-resident
-// predicate groups (findTrue visits every shared-expression group with a
-// waiter), so even a perfectly tagged workload serializes on
-// one lock and one group table. Partitioning keeps the paper's guarantees
-// intact per shard — relay invariance, no broadcasts, tag-pruned search —
-// while dividing both the lock traffic and the group population by S.
+// A single monitor's relay search visits only the predicate groups whose
+// cells an exit wrote, so its cost does not grow with the number of
+// co-resident groups, but every operation on it serializes on one lock.
+// Partitioning keeps the paper's guarantees intact per shard — relay
+// invariance, no broadcasts, tag-pruned search — while dividing the lock
+// traffic, and the tag structures, by S.
 //
 // Cross-shard conditions ("total free slots across all shards ≥ n") are
 // expressed with a Counter: per-shard counter cells accumulate deltas
