@@ -51,8 +51,8 @@ type entry struct {
 // no such cell has none.
 type outsideReads [][]*cellWatch
 
-// readsOutside returns the cells conjunction i reads outside its tag.
-func (e *entry) readsOutside(i int) []*cellWatch {
+// outsideOf returns the cells conjunction i reads outside its tag.
+func (e *entry) outsideOf(i int) []*cellWatch {
 	if e.outside == nil {
 		return nil
 	}
@@ -75,11 +75,10 @@ func newOutsideReads(conjs [][]*cellWatch) *outsideReads {
 func (m *Monitor) cellsOutside(f linear.Form, names []string) []*cellWatch {
 	var out []*cellWatch
 	for _, name := range names {
-		s, ok := m.vars[name]
-		if _, inTag := f.Coeffs[name]; inTag || !ok {
+		if _, inTag := f.Coeffs[name]; inTag {
 			continue
 		}
-		if c := s.watch(); !slices.Contains(out, c) {
+		if c := m.vars[name].watch(); !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}

@@ -28,7 +28,7 @@ type condManager struct {
 	// parked entry keeps its groups' compiled evaluators alive, and the
 	// eviction or discard of the last entry naming a group releases it.
 	groups map[string]*sharedGroup
-	dirty  []*cellWatch   // cells written since the last search folded them
+	dirty  []*cellWatch   // cells written since the last search folded them (a policy scan never does)
 	cand   []*sharedGroup // groups the relay search still has to visit, in order
 	none   []*entry       // entries needing exhaustive search
 	free   []*tagNode     // detached tag nodes for reuse, at most inactiveLimit
@@ -150,7 +150,7 @@ func (cm *condManager) retain(e *entry) {
 			}
 		}
 		g.refs++
-		for _, c := range e.readsOutside(i) {
+		for _, c := range e.outsideOf(i) {
 			c.link(g)
 		}
 	}
@@ -170,7 +170,7 @@ func (cm *condManager) release(e *entry) {
 			continue
 		}
 		g := cm.groups[tg.Expr]
-		for _, c := range e.readsOutside(i) {
+		for _, c := range e.outsideOf(i) {
 			c.unlink(g)
 		}
 		g.refs--
@@ -181,8 +181,8 @@ func (cm *condManager) release(e *entry) {
 			cm.m.vars[name].watch().unlink(g)
 		}
 		if g.cand {
-			i := slices.Index(cm.cand, g)
-			cm.cand = slices.Delete(cm.cand, i, i+1)
+			j := slices.Index(cm.cand, g)
+			cm.cand = slices.Delete(cm.cand, j, j+1)
 		}
 		delete(cm.groups, tg.Expr)
 	}
@@ -471,10 +471,9 @@ func (cm *condManager) unregister(w *Wait) {
 
 // findTrue locates a signalable entry whose predicate currently holds.
 // Without tagging it scans the None list, which then holds every entry.
-// With tagging the search is write-driven. It first folds the groups with
-// waiters that read a cell written since the last fold (cm.dirty) into
-// the candidate list cm.cand, each group once, and then searches the
-// candidates in order: the equivalence hash table first, then the
+// With tagging the search is write-driven. It first folds the written
+// cells' reader groups into the candidate list (fold), and then searches
+// the candidates in order: the equivalence hash table first, then the
 // threshold heaps (§4.3.2). A candidate that yields no signalable true
 // entry leaves the list; the one that yields the entry stays at the
 // front with the candidates not yet visited, so the next search resumes
@@ -495,17 +494,7 @@ func (cm *condManager) unregister(w *Wait) {
 // say) makes every search that follows a write to it pay for them.
 func (cm *condManager) findTrue() *entry {
 	if cm.m.cfg.tagging {
-		for i, c := range cm.dirty {
-			c.dirty = false
-			for _, r := range c.readers {
-				if g := r.g; g.waiters > 0 && !g.cand {
-					g.cand = true
-					cm.cand = append(cm.cand, g)
-				}
-			}
-			cm.dirty[i] = nil
-		}
-		cm.dirty = cm.dirty[:0]
+		cm.fold()
 		for i, g := range cm.cand {
 			if e := cm.searchGroup(g); e != nil {
 				n := copy(cm.cand, cm.cand[i:])
@@ -519,6 +508,22 @@ func (cm *condManager) findTrue() *entry {
 		cm.cand = cm.cand[:0]
 	}
 	return cm.firstTrue(cm.none)
+}
+
+// fold appends to cm.cand the groups with waiters that read a cell
+// written since the last fold, each group once, and empties cm.dirty.
+func (cm *condManager) fold() {
+	for _, c := range cm.dirty {
+		c.dirty = false
+		for _, r := range c.readers {
+			if g := r.g; g.waiters > 0 && !g.cand {
+				g.cand = true
+				cm.cand = append(cm.cand, g)
+			}
+		}
+	}
+	clear(cm.dirty)
+	cm.dirty = cm.dirty[:0]
 }
 
 // searchGroup returns a signalable true entry reached through a tag of g
