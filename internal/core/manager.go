@@ -503,8 +503,8 @@ func (cm *condManager) findTrue() *entry {
 				return e
 			}
 			g.cand = false
+			cm.cand[i] = nil
 		}
-		clear(cm.cand)
 		cm.cand = cm.cand[:0]
 	}
 	return cm.firstTrue(cm.none)
@@ -513,7 +513,7 @@ func (cm *condManager) findTrue() *entry {
 // fold appends to cm.cand the groups with waiters that read a cell
 // written since the last fold, each group once, and empties cm.dirty.
 func (cm *condManager) fold() {
-	for _, c := range cm.dirty {
+	for i, c := range cm.dirty {
 		c.dirty = false
 		for _, r := range c.readers {
 			if g := r.g; g.waiters > 0 && !g.cand {
@@ -521,8 +521,8 @@ func (cm *condManager) fold() {
 				cm.cand = append(cm.cand, g)
 			}
 		}
+		cm.dirty[i] = nil
 	}
-	clear(cm.dirty)
 	cm.dirty = cm.dirty[:0]
 }
 
