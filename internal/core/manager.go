@@ -28,7 +28,7 @@ type condManager struct {
 	// parked entry keeps its groups' compiled evaluators alive, and the
 	// eviction or discard of the last entry naming a group releases it.
 	groups map[string]*sharedGroup
-	dirty  []*cellWatch   // cells written since the last search folded them (a policy scan never does)
+	dirty  []*cellWatch   // cells written since the last fold; a monitor policy's scan never folds
 	cand   []*sharedGroup // groups the relay search still has to visit, in order
 	none   []*entry       // entries needing exhaustive search
 	free   []*tagNode     // detached tag nodes for reuse, at most inactiveLimit
