@@ -43,10 +43,10 @@ type conjTmpl struct {
 // predTmpl is the per-predicate analysis.
 type predTmpl struct {
 	conjs    []conjTmpl
-	keyFns   []expr.IntFn // key computations over the local binding slots
-	keyNodes []expr.Node  // the key expressions themselves, for codegen
-	canon    string       // template identity with $i key placeholders
-	outside  *outsideReads
+	keyFns   []expr.IntFn  // key computations over the local binding slots
+	keyNodes []expr.Node   // the key expressions themselves, for codegen
+	canon    string        // template identity with $i key placeholders
+	outside  *outsideReads // shared by the template's entries; nil when no conjunction has any
 }
 
 // buildTemplate analyzes p's DNF into a template, or returns nil when the
