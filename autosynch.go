@@ -193,9 +193,10 @@
 // and Priority(rank) the highest-ranked, computing each waiter's rank
 // from its binding snapshot at registration time (sound because locals
 // cannot change while a thread waits — Proposition 1). A policy-governed
-// relay scan compares every eligible waiter instead of stopping at the
-// first, so it costs the exhaustive search of AutoSynch-T; leave the
-// policy nil where throughput matters more than wake order.
+// relay runs the same tag-pruned search as one without a policy, but
+// compares every eligible waiter it reaches instead of stopping at the
+// first, so it costs more the more waiters are eligible at once; leave
+// the policy nil where throughput matters more than wake order.
 // Predicate.UsePolicy overrides the pick among that predicate's own
 // waiters. Fairness becomes measurable alongside: Stats.MaxWaitNs tracks
 // the longest completed wait, WithStarvationThreshold makes Stats.Starved

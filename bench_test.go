@@ -405,7 +405,9 @@ func BenchmarkAblationTagKinds(b *testing.B) {
 // before its Exit: one writes a cell that one of 512 hot groups reads,
 // all a cell that every hot group reads outside its tag (a search of all
 // 512 groups), and idle a cell that 2,048 idle groups read outside their
-// tags (a fold that steps over them all and searches none):
+// tags (a fold that steps over them all and searches none). The fifo
+// rows run 1 and 512 hot groups under a FIFO wake policy, each op writing
+// z, which no predicate reads, so their exits search no group either:
 //
 //	go test -run xxx -bench 'RelayIdleGroups' -benchmem
 func BenchmarkRelayIdleGroups(b *testing.B) {
@@ -414,20 +416,23 @@ func BenchmarkRelayIdleGroups(b *testing.B) {
 		hot, idle         int
 		hotPred, idlePred string // formats over the group index
 		write             string // the cell each op writes, or none
+		pol               autosynch.Policy
 	}
 	const hotPred, idlePred = "s%d == 1", "t%d >= 1"
 	var rows []row
 	for _, c := range []struct{ hot, idle int }{{1, 0}, {512, 0}, {0, 2048}, {512, 2048}} {
-		rows = append(rows, row{fmt.Sprintf("hot=%d/idle=%d", c.hot, c.idle), c.hot, c.idle, hotPred, idlePred, ""})
+		rows = append(rows, row{fmt.Sprintf("hot=%d/idle=%d", c.hot, c.idle), c.hot, c.idle, hotPred, idlePred, "", nil})
 	}
 	rows = append(rows,
-		row{"write=one", 512, 0, hotPred, idlePred, "s0"},
-		row{"write=all", 512, 0, "s%d == 1 && z >= 1", idlePred, "z"},
-		row{"write=idle", 0, 2048, hotPred, "t%d >= 1 && z >= 1", "z"},
+		row{"write=one", 512, 0, hotPred, idlePred, "s0", nil},
+		row{"write=all", 512, 0, "s%d == 1 && z >= 1", idlePred, "z", nil},
+		row{"write=idle", 0, 2048, hotPred, "t%d >= 1 && z >= 1", "z", nil},
+		row{"fifo/hot=1", 1, 0, hotPred, idlePred, "z", autosynch.FIFO},
+		row{"fifo/hot=512", 512, 0, hotPred, idlePred, "z", autosynch.FIFO},
 	)
 	for _, r := range rows {
 		b.Run(r.name, func(b *testing.B) {
-			m := autosynch.New()
+			m := autosynch.New(autosynch.WithPolicy(r.pol))
 			cells := map[string]*autosynch.IntCell{"z": m.NewInt("z", 0)}
 			handles := make([]*autosynch.Wait, r.hot)
 			for i := range handles {

@@ -101,12 +101,16 @@ func (e *entry) firstUnnotified() *Wait {
 	return nil
 }
 
-// pickUnnotified returns the waiter the given policy prefers among the
-// entry's unnotified waiters, or the first found when pol is nil. The
+// pickUnnotified returns the unnotified waiter a signal to the entry
+// wakes: the one the entry's own policy (Predicate.UsePolicy) prefers,
+// else the one the monitor policy pol prefers, else the first found. The
 // waiters slice uses swap-remove and so carries no arrival order; the
 // policy compares the monitor-global arrival seq (and precomputed rank)
 // captured on each Wait at registration.
 func (e *entry) pickUnnotified(pol policy.Policy) *Wait {
+	if e.policy != nil {
+		pol = e.policy
+	}
 	if pol == nil {
 		return e.firstUnnotified()
 	}

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/policy"
 	"repro/internal/testutil"
 )
 
@@ -27,15 +27,17 @@ func (r *fuzzRng) next() uint64 {
 }
 
 func TestFuzzMixedPredicateShapes(t *testing.T) {
-	for _, tagging := range []bool{true, false} {
-		tagging := tagging
-		t.Run(fmt.Sprintf("tagging=%t", tagging), func(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{
+		{"tagging=true", nil},
+		{"tagging=false", []Option{WithoutTagging()}},
+		{"policy=fifo", []Option{WithPolicy(policy.FIFO)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			var opts []Option
-			if !tagging {
-				opts = append(opts, WithoutTagging())
-			}
-			m := New(opts...)
+			m := New(c.opts...)
 			level := m.NewInt("level", 0)
 			phase := m.NewInt("phase", 0)
 			open := m.NewBool("open", true)
@@ -310,7 +312,7 @@ func TestFuzzWaiterChurn(t *testing.T) {
 			m.Do(func() { x.Add(2) })
 			checkRelayState(t, m)
 			testutil.Eventually(5*time.Millisecond, 50*time.Microsecond, func() bool {
-				return m.Stats().Wakeups > woken || m.Waiting() == 0
+				return m.PendingSignals() == 0 || m.Stats().Wakeups > woken || m.Waiting() == 0
 			})
 		}
 	}()

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/obs"
-	"repro/internal/policy"
 	"repro/internal/tag"
 )
 
@@ -28,11 +27,12 @@ type condManager struct {
 	// parked entry keeps its groups' compiled evaluators alive, and the
 	// eviction or discard of the last entry naming a group releases it.
 	groups map[string]*sharedGroup
-	dirty  []*cellWatch   // cells written since the last fold; a monitor policy's scan never folds
+	dirty  []*cellWatch   // cells written since the last fold
 	cand   []*sharedGroup // groups the relay search still has to visit, in order
 	none   []*entry       // entries needing exhaustive search
 	free   []*tagNode     // detached tag nodes for reuse, at most inactiveLimit
 	backup []*tagNode     // searchHeap's popped roots, reused (searches never nest)
+	pick   *Wait          // the waiter the search in progress would signal; nil between searches
 
 	pending int // signals issued and not yet consumed by a woken or claiming waiter
 
@@ -334,15 +334,7 @@ func (cm *condManager) relaySignal() {
 		return
 	}
 	start := cm.m.spanStart()
-	var w *Wait
-	if pol := cm.m.pol; pol != nil {
-		w = cm.policyPick(pol)
-	} else if e := cm.findTrue(); e != nil {
-		// Per-predicate policies still apply without a monitor policy:
-		// the tag-pruned search picks the entry, the entry's own policy
-		// picks the waiter within it.
-		w = e.pickUnnotified(e.policy)
-	}
+	w := cm.findTrue()
 	policyPicked := false
 	if w != nil {
 		w.viaRelay = true
@@ -367,47 +359,6 @@ func (cm *condManager) relaySignal() {
 			cm.relayOrigin = 0 // baton handed to w; reset until its consume
 		}
 	}
-}
-
-// policyPick is the exhaustive relay scan used when a monitor-wide wake
-// policy is configured. Tag pruning is built to find *a* true waiter
-// early, but a policy must compare *all* of them, so the scan visits
-// every active entry — the predicate table plus the closure entries of
-// the None list (closure entries are never in the table) — evaluates
-// each signalable one, and keeps the policy-best eligible waiter. A
-// per-entry override governs the pick within its entry; the monitor
-// policy arbitrates across entries.
-func (cm *condManager) policyPick(pol policy.Policy) *Wait {
-	var best *Wait
-	consider := func(e *entry) {
-		if !e.signalable() {
-			return
-		}
-		cm.m.stats.PredicateEvals++
-		if !e.evalFn() {
-			return
-		}
-		epol := e.policy
-		if epol == nil {
-			epol = pol
-		}
-		w := e.pickUnnotified(epol)
-		if w == nil {
-			return
-		}
-		if best == nil || pol.Better(cand(w), cand(best)) {
-			best = w
-		}
-	}
-	for _, e := range cm.table {
-		consider(e)
-	}
-	for _, e := range cm.none {
-		if e.funcOnly {
-			consider(e)
-		}
-	}
-	return best
 }
 
 // notify delivers a notification to one waiter, keeping the entry's
@@ -469,16 +420,22 @@ func (cm *condManager) unregister(w *Wait) {
 	cm.m.waiting--
 }
 
-// findTrue locates a signalable entry whose predicate currently holds.
-// Without tagging it scans the None list, which then holds every entry.
-// With tagging the search is write-driven. It first folds the written
-// cells' reader groups into the candidate list (fold), and then searches
-// the candidates in order: the equivalence hash table first, then the
-// threshold heaps (§4.3.2). A candidate that yields no signalable true
-// entry leaves the list; the one that yields the entry stays at the
-// front with the candidates not yet visited, so the next search resumes
-// there. The None list comes last. The order is a function of the
-// operation sequence alone, so relay picks replay.
+// findTrue returns the waiter the relay signals: an unnotified waiter of a
+// signalable entry whose predicate holds, or nil. Without tagging it scans
+// the None list, which then holds every entry. With tagging the search is
+// write-driven. It first folds the written cells' reader groups into the
+// candidate list (fold), and then searches the candidates in order: the
+// equivalence hash table first, then the threshold heaps (§4.3.2). A
+// candidate that yields no signalable true entry leaves the list. The None
+// list comes last. The order is a function of the operation sequence
+// alone, so relay picks replay.
+//
+// Without a monitor policy the first signalable true entry ends the
+// search, and its own policy, if any, picks its waiter; its group stays at
+// the front of the list with the candidates not yet visited, so the next
+// search resumes there. Under a monitor policy the search offers every
+// signalable true entry it reaches and keeps the policy-best waiter
+// (offerTrue); each candidate that yielded a true entry stays on the list.
 //
 // No wake-up is lost: with no signal pending, an active entry with an
 // unnotified waiter that is true is on the None list, or one of its true
@@ -487,27 +444,39 @@ func (cm *condManager) unregister(w *Wait) {
 // truth changes only through a cell write; because a waiter is left
 // unnotified (register, armEntry, rearm) only in a lock hold that found
 // its predicate false; and because a group leaves cand only after a
-// search found no signalable true entry through it.
+// search found no signalable true entry through it. So the search reaches
+// every signalable true entry, and a policy compares them all.
 //
 // A write costs the fold a step over each group reading the cell, with
 // waiters or not, so a cell read by many idle groups (outside their tags,
 // say) makes every search that follows a write to it pay for them.
-func (cm *condManager) findTrue() *entry {
+func (cm *condManager) findTrue() *Wait {
 	if cm.m.cfg.tagging {
 		cm.fold()
+		kept := 0
 		for i, g := range cm.cand {
-			if e := cm.searchGroup(g); e != nil {
-				n := copy(cm.cand, cm.cand[i:])
-				clear(cm.cand[n:])
-				cm.cand = cm.cand[:n]
-				return e
-			}
-			g.cand = false
 			cm.cand[i] = nil
+			if !cm.searchGroup(g) {
+				g.cand = false
+				continue
+			}
+			cm.cand[kept] = g
+			kept++
+			if cm.done() {
+				n := copy(cm.cand[kept:], cm.cand[i+1:])
+				clear(cm.cand[kept+n:])
+				kept += n
+				break
+			}
 		}
-		cm.cand = cm.cand[:0]
+		cm.cand = cm.cand[:kept]
 	}
-	return cm.firstTrue(cm.none)
+	if !cm.done() {
+		cm.offerTrue(cm.none)
+	}
+	w := cm.pick
+	cm.pick = nil
+	return w
 }
 
 // fold appends to cm.cand the groups with waiters that read a cell
@@ -526,56 +495,75 @@ func (cm *condManager) fold() {
 	cm.dirty = cm.dirty[:0]
 }
 
-// searchGroup returns a signalable true entry reached through a tag of g
-// that holds, or nil: the equivalence probe, then both threshold heaps.
-func (cm *condManager) searchGroup(g *sharedGroup) *entry {
+// done reports whether the search can stop: it has a pick, and no monitor
+// policy has to compare the pick with entries not yet reached.
+func (cm *condManager) done() bool { return cm.pick != nil && cm.m.pol == nil }
+
+// searchGroup offers the signalable true entries reached through the tags
+// of g that hold, the equivalence probe and then both threshold heaps, and
+// reports whether it found one.
+func (cm *condManager) searchGroup(g *sharedGroup) bool {
 	v := g.eval()
+	found := false
 	if node, ok := g.equiv[v]; ok {
 		cm.m.stats.TagChecks++
-		if e := cm.firstTrue(node.entries); e != nil {
-			return e
-		}
+		found = cm.offerTrue(node.entries)
 	}
-	if e := cm.searchHeap(&g.minHeap, v); e != nil {
-		return e
+	if !cm.done() {
+		found = cm.searchHeap(&g.minHeap, v) || found
 	}
-	return cm.searchHeap(&g.maxHeap, v)
+	if !cm.done() {
+		found = cm.searchHeap(&g.maxHeap, v) || found
+	}
+	return found
 }
 
-// firstTrue returns the first signalable entry whose predicate evaluates
-// to true.
-func (cm *condManager) firstTrue(entries []*entry) *entry {
+// offerTrue evaluates the signalable entries until the search is done,
+// offers the waiter of each that holds as the pick, and reports whether
+// one held. Without a monitor policy the first waiter offered is the
+// pick; with one, a waiter replaces the pick when the policy prefers it.
+func (cm *condManager) offerTrue(entries []*entry) bool {
+	found := false
 	for _, e := range entries {
 		if !e.signalable() {
 			continue
 		}
 		cm.m.stats.PredicateEvals++
-		if e.evalFn() {
-			return e
+		if !e.evalFn() {
+			continue
+		}
+		found = true
+		w := e.pickUnnotified(cm.m.pol)
+		if cm.pick == nil || cm.m.pol.Better(cand(w), cand(cm.pick)) {
+			cm.pick = w
+		}
+		if cm.done() {
+			break
 		}
 	}
-	return nil
+	return found
 }
 
 // searchHeap is the threshold search of Fig. 4: examine the root tag; if it
-// is false, every descendant is false and the search stops; if it is true
-// but none of its predicates has a signalable true waiter, pop it to a
+// is false, every descendant is false and the search stops; if it holds,
+// offer its true entries and, unless the search is done, pop it to a
 // backup list and look at the new root. Popped tags are reinserted before
-// returning so the heap stays complete.
-func (cm *condManager) searchHeap(h *tagHeap, v int64) *entry {
+// returning so the heap stays complete. It reports whether a root yielded
+// a true entry.
+func (cm *condManager) searchHeap(h *tagHeap, v int64) bool {
 	if h.Len() == 0 {
-		return nil
+		return false
 	}
 	cm.backup = cm.backup[:0]
-	var found *entry
+	found := false
 	for h.Len() > 0 {
 		root := h.root()
 		cm.m.stats.TagChecks++
 		if !root.holds(v) {
 			break
 		}
-		if e := cm.firstTrue(root.entries); e != nil {
-			found = e
+		found = cm.offerTrue(root.entries) || found
+		if cm.done() {
 			break
 		}
 		cm.backup = append(cm.backup, h.popRoot())

@@ -70,17 +70,18 @@ func WithInactiveLimit(n int) Option {
 // policy.Priority, or a custom total order): whenever the relay rule — or
 // an Explicit condition's Signal — has several eligible waiters, the
 // policy decides which one wakes. Without a policy the runtime keeps the
-// paper's behavior: the first eligible waiter the (tag-pruned) scan
+// paper's behavior: the first eligible waiter the (tag-pruned) search
 // visits, which is cheapest but unspecified.
 //
-// A policy-governed relay scan is exhaustive across entries (tag pruning
-// can find *a* true waiter early, but the policy must compare *all* of
-// them), so expect the relay cost of AutoSynch-T plus a comparison per
-// candidate. Per-predicate overrides (Predicate.UsePolicy) refine the
-// pick within that predicate's waiters only. For Baseline the policy has
-// no blocking-wait effect — its broadcast discipline wakes everyone and
-// the lock queue arbitrates — but the wait-time accounting (Starved,
-// MaxWaitNs) still applies.
+// A policy-governed relay runs the same write-driven, tag-pruned search
+// as one without a policy, which reaches every eligible waiter, but does
+// not stop at the first: it visits every candidate tag group and the
+// whole None list, and compares every eligible waiter it reaches. It
+// never scans the predicate table. Per-predicate overrides
+// (Predicate.UsePolicy) refine the pick within that predicate's waiters
+// only. For Baseline the policy has no blocking-wait effect — its
+// broadcast discipline wakes everyone and the lock queue arbitrates — but
+// the wait-time accounting (Starved, MaxWaitNs) still applies.
 func WithPolicy(p policy.Policy) Option {
 	return func(c *config) { c.policy = p }
 }

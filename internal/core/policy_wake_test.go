@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -88,6 +89,74 @@ func TestPolicyWakeOrderPriority(t *testing.T) {
 	}
 	if s := m.Stats(); s.PolicyWakes == 0 {
 		t.Errorf("PolicyWakes = 0, want > 0")
+	}
+}
+
+// TestPolicyOrderAcrossGroups: a monitor policy ranks every signalable
+// true waiter the relay search reaches, whatever kind of group holds it.
+// Seven handles are armed in a known order: on the untaggable x * y >= 1
+// (the None list), on y == 1 twice (one entry of an equivalence node), on
+// three threshold nodes of group x (x >= 3 below the min-heap root x >= 1,
+// and x <= 9 in the max-heap, whose y >= 1 is read outside the tag), and on
+// a closure. One Do makes all of them true; each claim's Exit relays to
+// the next, so the claim order is arrival order under FIFO and its reverse
+// under LIFO. A search that stopped at the first group, or at the first
+// heap root, with a true entry would claim in another order.
+func TestPolicyOrderAcrossGroups(t *testing.T) {
+	for _, c := range []struct {
+		pol     policy.Policy
+		reverse bool
+	}{{policy.FIFO, false}, {policy.LIFO, true}} {
+		t.Run(c.pol.Name(), func(t *testing.T) {
+			m := New(WithPolicy(c.pol))
+			defer testutil.NoLeaks(t, m)()
+			x := m.NewInt("x", 0)
+			y := m.NewInt("y", 0)
+			ws := []*Wait{
+				m.MustCompile("x * y >= 1").Arm(),
+				m.MustCompile("y == k").Arm(BindInt("k", 1)),
+				m.MustCompile("x >= 3").Arm(),
+				m.MustCompile("x <= k && y >= 1").Arm(BindInt("k", 9)),
+				m.MustCompile("x >= 1").Arm(),
+				m.MustCompile("y == k").Arm(BindInt("k", 1)),
+				m.ArmFunc(func() bool { return x.Get() >= 2 }),
+			}
+			m.Do(func() {
+				x.Set(5)
+				y.Set(1)
+			})
+			var order []int
+			for len(order) < len(ws) {
+				i := slices.IndexFunc(ws, func(w *Wait) bool {
+					if w == nil {
+						return false
+					}
+					select {
+					case <-w.Ready():
+						return true
+					default:
+						return false
+					}
+				})
+				if i < 0 {
+					t.Fatalf("no handle ready after claims %v", order)
+				}
+				if err := ws[i].Claim(); err != nil {
+					t.Fatalf("Claim %d: %v", i, err)
+				}
+				m.Exit()
+				checkRelayState(t, m)
+				order = append(order, i)
+				ws[i] = nil
+			}
+			want := []int{0, 1, 2, 3, 4, 5, 6}
+			if c.reverse {
+				slices.Reverse(want)
+			}
+			if !slices.Equal(order, want) {
+				t.Errorf("%s claim order = %v, want %v", c.pol.Name(), order, want)
+			}
+		})
 	}
 }
 

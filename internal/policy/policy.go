@@ -2,22 +2,23 @@
 // monitors. The paper's relay invariance (§4.2) guarantees that *some*
 // waiter with a true predicate is signaled whenever one exists, but
 // deliberately leaves *which* one unspecified — the runtime picks the
-// first eligible waiter its scan happens to visit. A Policy makes that
+// first eligible waiter its search happens to visit. A Policy makes that
 // choice explicit and observable: FIFO for fairness, LIFO for cache
 // warmth, Priority for schedulers.
 //
 // The package is deliberately free of monitor machinery: a policy is a
 // pure comparator over Candidate records (arrival order plus a
 // registration-time rank), so internal/core can consult it inside the
-// relay scan without this package importing core. Select a policy for a
+// relay search without this package importing core. Select a policy for a
 // whole monitor with core.WithPolicy, or override it per predicate with
 // Predicate.UsePolicy.
 //
 // A policy must induce a total order: Better(a, b) and Better(b, a) must
 // never both be true for distinct candidates, and ties must be broken
 // deterministically (the built-in policies break ties by arrival
-// sequence). The relay scan visits entries in map order, so a partial
-// order would make the pick schedule-dependent.
+// sequence). The relay search reaches the eligible waiters in an order
+// set by the writes and searches before it, so a partial order would make
+// the pick depend on that order rather than on the waiters alone.
 package policy
 
 // Candidate describes one eligible waiter at pick time: a waiter whose
@@ -32,9 +33,9 @@ type Candidate struct {
 	Rank int64
 }
 
-// Policy decides which eligible waiter a relay scan or Exit-time signal
-// picks. Implementations must be safe for concurrent use (the built-ins
-// are stateless).
+// Policy decides which eligible waiter a relay search or Exit-time
+// signal picks. Implementations must be safe for concurrent use (the
+// built-ins are stateless).
 type Policy interface {
 	// Name identifies the policy in reports and experiment output.
 	Name() string
