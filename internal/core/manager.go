@@ -335,13 +335,13 @@ func (cm *condManager) relaySignal() {
 	}
 	start := cm.m.spanStart()
 	w := cm.findTrue()
-	policyPicked := false
+	byPolicy := false
 	if w != nil {
 		w.viaRelay = true
 		cm.pending++
 		cm.m.stats.Signals++
-		policyPicked = cm.m.pol != nil || w.e.policy != nil
-		if policyPicked {
+		byPolicy = cm.m.pol != nil || w.e.policy != nil
+		if byPolicy {
 			cm.m.stats.PolicyWakes++
 		}
 		cm.notify(w)
@@ -353,7 +353,7 @@ func (cm *condManager) relaySignal() {
 		r.Record(obs.KRelay, 0, start)
 		if w != nil {
 			r.Record(obs.KSignal, w.seq, int64(cm.relayOrigin))
-			if policyPicked {
+			if byPolicy {
 				r.Record(obs.KPolicyWake, w.seq, w.rank)
 			}
 			cm.relayOrigin = 0 // baton handed to w; reset until its consume
