@@ -407,7 +407,11 @@ func BenchmarkAblationTagKinds(b *testing.B) {
 // 512 groups), and idle a cell that 2,048 idle groups read outside their
 // tags (a fold that steps over them all and searches none). The fifo
 // rows run 1 and 512 hot groups under a FIFO wake policy, each op writing
-// z, which no predicate reads, so their exits search no group either:
+// z, which no predicate reads, so their exits search no group either.
+// Rows of a few µs or less move 10–20% with code placement alone (on
+// write=idle, the same fold-loop instructions at another alignment), so
+// a gate compares their allocs/op exactly and their ns/op only in a wide
+// band:
 //
 //	go test -run xxx -bench 'RelayIdleGroups' -benchmem
 func BenchmarkRelayIdleGroups(b *testing.B) {
@@ -531,6 +535,68 @@ func BenchmarkEntryReuse(b *testing.B) {
 				b.Fatalf("registrations/evictions = %d/%d, want %d/0", s.Registrations, s.Evictions, keys)
 			}
 		})
+	}
+}
+
+// BenchmarkParkRoundTrip prices the park→notify→unpark round trip of two
+// blocking waits on cached predicates. A partner parks on x == k || stop
+// for odd k; one op sets x to the partner's key and awaits the next, even,
+// key, which the partner writes before it parks on its next odd key: two
+// parks, each woken by a relay signal. After a warm-up over the 16 keys
+// both parks reuse a parked entry and a spare waiter and allocate
+// nothing. Like every row of a few µs, its ns/op moves 10–20% with code
+// placement alone (see BenchmarkRelayIdleGroups), so a gate compares its
+// allocs/op exactly and its ns/op only in a wide band:
+//
+//	go test -run xxx -bench 'ParkRoundTrip' -benchmem -cpu 1
+func BenchmarkParkRoundTrip(b *testing.B) {
+	const keys = 16
+	m := autosynch.New()
+	x := m.NewInt("x", 0)
+	stop := m.NewBool("stop", false)
+	p := m.MustCompile("x == k || stop")
+	binds := make([][]autosynch.Binding, keys+1)
+	for k := range binds {
+		binds[k] = []autosynch.Binding{autosynch.Bind("k", int64(k))}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Enter()
+		defer m.Exit()
+		for k := 1; ; k = (k + 2) % keys {
+			if err := p.Await(binds[k]...); err != nil {
+				b.Error(err)
+				return
+			}
+			if stop.Get() {
+				return
+			}
+			x.Set(int64(k + 1))
+		}
+	}()
+	testutil.WaitFor(b, 10*time.Second, 0, func() bool { return m.Waiting() == 1 }, "partner parked")
+	k := 1
+	round := func() {
+		m.Enter()
+		x.Set(int64(k))
+		if err := p.Await(binds[k+1]...); err != nil {
+			b.Error(err)
+		}
+		m.Exit()
+		k = (k + 2) % keys
+	}
+	for range keys / 2 {
+		round()
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		round()
+	}
+	m.Do(func() { stop.Set(true) })
+	<-done
+	if s := m.Stats(); s.Registrations != keys {
+		b.Fatalf("registrations = %d, want %d: every park after the warm-up reuses an entry", s.Registrations, keys)
 	}
 }
 

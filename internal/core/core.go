@@ -20,10 +20,11 @@
 // like a blocking wait but delivers its notification by closing a
 // channel, so one goroutine can multiplex any number of armed waits with
 // select. In the automatic monitor the blocking waits are thin wrappers
-// over the same waiter objects — relay signaling, tag structures, and
-// cancellation all operate on them; the comparison mechanisms keep their
-// native condition-variable parking (that parking IS what they measure)
-// and run the handle lists alongside.
+// over the same waiter objects, reused across waits and woken by a token
+// on their channel — relay signaling, tag structures, and cancellation
+// all operate on them; the comparison mechanisms keep their native
+// condition-variable parking (that parking IS what they measure) and run
+// the handle lists alongside.
 //
 // Guarded regions are first-class too: When (on a compiled predicate, a
 // closure, or an explicit condition) returns a *Guard whose Do/DoCtx/Try

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"sync/atomic"
@@ -396,6 +397,93 @@ func TestAwaitDeadlineExpiryWinsRace(t *testing.T) {
 	err := <-done
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline (expiry latched before the predicate turned true)", err)
+	}
+}
+
+// TestDeadlineWaitNotReused: a blocking wait that armed a give-up trigger
+// never lends its waiter to a later wait. The trigger can fire after the
+// waiter's wake-up and before it disarms, while the waiter's own re-check
+// holds the monitor; the trigger's callback then waits for the monitor,
+// and once it has it would mark whatever wait the waiter serves by then.
+// A standing handle keeps Waiting() at 1 or more, so the monitor keeps
+// spare waiters. Each round one goroutine runs a give-up wait on f, whose
+// second true evaluation, the re-check, outlasts the deadline (or runs
+// the cancel), and then, still in the monitor, a plain wait on g, which
+// must return nil, with g true, only once the test makes g true.
+func TestDeadlineWaitNotReused(t *testing.T) {
+	const rounds = 20
+	for _, c := range []struct {
+		name string
+		// arm returns a round's give-up wait and what its re-check runs.
+		arm func(m *Monitor) (giveUp func(f func() bool) error, recheck func())
+	}{
+		{"deadline", func(m *Monitor) (func(func() bool) error, func()) {
+			return func(f func() bool) error { return m.AwaitFuncDeadline(time.Now().Add(5*time.Millisecond), f) },
+				func() { time.Sleep(10 * time.Millisecond) }
+		}},
+		{"ctx", func(m *Monitor) (func(func() bool) error, func()) {
+			ctx, cancel := context.WithCancel(context.Background())
+			return func(f func() bool) error { return m.AwaitFuncCtx(ctx, f) }, cancel
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := New()
+			defer testutil.NoLeaks(t, m)()
+			m.NewInt("x", 0)
+			standing := m.MustCompile("x < 0").Arm()
+			defer standing.Cancel()
+			// Guarded by m: the test makes f and then g true; trues
+			// counts f's true evaluations, and left is set once the give-up
+			// wait has returned.
+			var first, second, left bool
+			var trues int
+			var gaveUp uint64
+			for r := range rounds {
+				giveUp, recheck := c.arm(m)
+				f := func() bool {
+					if !first {
+						return false
+					}
+					trues++
+					if trues == 2 {
+						recheck()
+					}
+					return true
+				}
+				g := func() bool { return second }
+				m.Do(func() { first, second, left, trues = false, false, false, 0 })
+				done := make(chan error, 1)
+				go func() {
+					m.Enter()
+					defer m.Exit()
+					if giveUp(f) != nil {
+						gaveUp++ // the trigger won before the wake-up
+					}
+					left = true
+					err := m.awaitFunc(nil, time.Time{}, g) // AwaitFunc, with its error
+					if err == nil && !second {
+						err = errors.New("returned before g held")
+					}
+					done <- err
+				}()
+				waitParked(t, m, 2)
+				m.Do(func() { first = true })
+				testutil.WaitFor(t, 5*time.Second, 0, func() bool {
+					m.mu.Lock()
+					defer m.mu.Unlock()
+					return left
+				}, "round %d: give-up wait returned", r)
+				m.Do(func() { second = true })
+				var err error
+				waitTimeout(t, 5*time.Second, "plain wait", func() { err = <-done })
+				if err != nil {
+					t.Fatalf("round %d: plain wait after a give-up wait: %v", r, err)
+				}
+			}
+			if abandons := m.Stats().Abandons; abandons != gaveUp {
+				t.Errorf("%d abandons, want %d: only the give-up waits whose trigger won may abandon", abandons, gaveUp)
+			}
+		})
 	}
 }
 

@@ -14,13 +14,13 @@ import (
 // table in Fig. 7. Threads waiting on syntactically equivalent predicates
 // share an entry (§5.2). Its waiters are standalone *Wait objects: parked
 // goroutines and armed handles are the same representation, and relay
-// signaling delivers a notification by closing a waiter's channel rather
-// than unparking a particular goroutine.
+// signaling delivers a notification on a waiter's channel rather than
+// unparking a particular goroutine.
 type entry struct {
 	canon    string // canonical globalized DNF string; identity key
 	static   bool   // shared predicate: registered once, never evicted
-	active   bool
-	funcOnly bool // one-shot AwaitFunc/ArmFunc entry; never cached
+	active   bool   // in the tag structures; a cached entry that is not is parked
+	funcOnly bool   // one-shot AwaitFunc/ArmFunc entry; never cached
 
 	waiters    []*Wait // registered waiters, parked and armed alike
 	unnotified int     // waiters with no notification in flight

@@ -9,7 +9,8 @@ import (
 )
 
 // condManager owns the predicate table, the tag structures, and the
-// inactive list of one monitor (§5.2, Fig. 7). Its relay search is
+// inactive list of one monitor (§5.2, Fig. 7). One map caches every
+// entry, active or parked on the inactive list. Its relay search is
 // write-driven: a cell write puts the cell on dirty, and findTrue visits
 // only the groups with waiters that read a written cell, plus the
 // candidates an earlier search left unfinished. Every method runs under
@@ -17,10 +18,10 @@ import (
 type condManager struct {
 	m *Monitor
 
-	table    map[string]*entry // active entries by identity
-	inactive map[string]*entry // parked entries by identity
-	lru      entry             // inactive ring sentinel: next is the newest parked entry, prev the oldest
-	id       []byte            // template identity scratch, looked up without a string
+	entries map[string]*entry // cached entries by identity, active and parked
+	lru     entry             // inactive ring sentinel: next is the newest parked entry, prev the oldest
+	parked  int               // entries on the inactive ring
+	id      []byte            // template identity scratch, looked up without a string
 
 	// groups indexes the tag structures by canonical shared expression. A
 	// group stays while a cached entry, active or parked, names it: a
@@ -33,6 +34,7 @@ type condManager struct {
 	free   []*tagNode     // detached tag nodes for reuse, at most inactiveLimit
 	backup []*tagNode     // searchHeap's popped roots, reused (searches never nest)
 	pick   *Wait          // the waiter the search in progress would signal; nil between searches
+	spare  []*Wait        // finished blocking waiters for reuse, at most m.waiting
 
 	pending int // signals issued and not yet consumed by a woken or claiming waiter
 
@@ -46,10 +48,9 @@ type condManager struct {
 
 func newCondManager(m *Monitor) *condManager {
 	cm := &condManager{
-		m:        m,
-		table:    map[string]*entry{},
-		inactive: map[string]*entry{},
-		groups:   map[string]*sharedGroup{},
+		m:       m,
+		entries: map[string]*entry{},
+		groups:  map[string]*sharedGroup{},
 	}
 	cm.lru.prev, cm.lru.next = &cm.lru, &cm.lru
 	return cm
@@ -57,40 +58,39 @@ func newCondManager(m *Monitor) *condManager {
 
 // getEntry finds or creates the entry with identity id (a globalized
 // predicate's canonical string, or a template identity rendered into
-// cm.id), reactivating a parked entry when the same identity was used
-// before (predicate reuse, §5.2). A parked entry still names its groups,
-// whose compiled evaluators it kept alive, and the lookups do not copy
-// id, so a reuse compiles and allocates nothing. On a miss, build
-// constructs the entry under id as a string.
+// cm.id) in one lookup, reactivating a parked entry when the same
+// identity was used before (predicate reuse, §5.2). A parked entry still
+// names its groups, whose compiled evaluators it kept alive, and the
+// lookup does not copy id, so a reuse compiles and allocates nothing. On
+// a miss, build constructs the entry under id as a string.
 func getEntry[ID string | []byte](cm *condManager, id ID, build func(canon string) (*entry, error)) (*entry, error) {
-	if e, ok := cm.table[string(id)]; ok {
-		return e, nil
-	}
-	if e, ok := cm.inactive[string(id)]; ok {
-		cm.unpark(e)
-		cm.m.stats.Reuses++
-		cm.activate(e, false)
+	if e, ok := cm.entries[string(id)]; ok {
+		if !e.active {
+			cm.unpark(e)
+			cm.m.stats.Reuses++
+			cm.activate(e, false)
+		}
 		return e, nil
 	}
 	e, err := build(string(id))
 	if err != nil {
 		return nil, err
 	}
+	cm.entries[e.canon] = e
 	cm.m.stats.Registrations++
 	cm.activate(e, true)
 	return e, nil
 }
 
-// activate registers the entry in the predicate table and in the tag
-// structures (or the None list when tagging is disabled). A fresh entry
-// first takes its references on the groups it names (retain); a parked
-// one still holds them. A recorded KTag is the span of the update.
+// activate registers a cached entry in the tag structures (or the None
+// list when tagging is disabled). A fresh entry first takes its
+// references on the groups it names (retain); a parked one still holds
+// them. A recorded KTag is the span of the update.
 func (cm *condManager) activate(e *entry, fresh bool) {
 	start := cm.m.spanStart()
 	if fresh {
 		cm.retain(e)
 	}
-	cm.table[e.canon] = e
 	e.active = true
 	for i := range e.conjTags {
 		tg := &e.conjTags[i]
@@ -156,11 +156,12 @@ func (cm *condManager) retain(e *entry) {
 	}
 }
 
-// release drops the group references and reader links of an entry that
-// leaves the cache, evicted or discarded. A group no cached entry names
-// any more holds no tag node, and is dropped with its compiled evaluator,
-// its own cells' links and its place among the search candidates.
+// release drops an entry that leaves the cache, evicted or discarded,
+// with its group references and reader links. A group no cached entry
+// names any more holds no tag node, and is dropped with its compiled
+// evaluator, its own cells' links and its place among the candidates.
 func (cm *condManager) release(e *entry) {
+	delete(cm.entries, e.canon)
 	if !cm.m.cfg.tagging {
 		return
 	}
@@ -251,19 +252,19 @@ func (g *sharedGroup) heapFor(op expr.Op) *tagHeap {
 	return &g.maxHeap
 }
 
-// deactivate unregisters an entry with no remaining waiters and detaches
-// the tag nodes it leaves empty. Static (shared) predicates stay active
-// forever; closure entries are discarded; everything else is parked on
-// the inactive list for reuse, still naming its groups and so keeping
-// their compiled evaluators alive. Past the configured limit the oldest
-// parked entries are evicted, which releases their groups. A recorded
-// KTag is the span of the update.
+// deactivate unregisters an entry with no remaining waiters from the tag
+// structures and detaches the tag nodes it leaves empty. Static (shared)
+// predicates stay active forever; closure entries never get here
+// (retireIfIdle); everything else is parked on the inactive list for
+// reuse, still cached and naming its groups, so their compiled evaluators
+// stay alive, or discarded under WithInactiveLimit(0). Past the limit the
+// oldest parked entries are evicted, which releases their groups. A
+// recorded KTag is the span of the update.
 func (cm *condManager) deactivate(e *entry) {
 	if e.static || !e.active {
 		return
 	}
 	start := cm.m.spanStart()
-	delete(cm.table, e.canon)
 	e.active = false
 	for _, n := range e.nodes {
 		n.removeEntry(e)
@@ -276,11 +277,11 @@ func (cm *condManager) deactivate(e *entry) {
 	if e.noneIdx >= 0 {
 		cm.removeNone(e)
 	}
-	if e.funcOnly || cm.m.cfg.inactiveLimit == 0 {
+	if cm.m.cfg.inactiveLimit == 0 {
 		cm.release(e)
 	} else {
 		cm.park(e)
-		for len(cm.inactive) > cm.m.cfg.inactiveLimit {
+		for cm.parked > cm.m.cfg.inactiveLimit {
 			oldest := cm.lru.prev
 			cm.unpark(oldest)
 			cm.release(oldest)
@@ -294,18 +295,18 @@ func (cm *condManager) deactivate(e *entry) {
 
 // park puts an entry on the inactive list, at the front of its ring.
 func (cm *condManager) park(e *entry) {
-	cm.inactive[e.canon] = e
 	e.prev, e.next = &cm.lru, cm.lru.next
 	e.prev.next = e
 	e.next.prev = e
+	cm.parked++
 }
 
 // unpark takes a parked entry off the inactive list.
 func (cm *condManager) unpark(e *entry) {
-	delete(cm.inactive, e.canon)
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
+	cm.parked--
 }
 
 func (cm *condManager) removeNone(e *entry) {
@@ -320,14 +321,14 @@ func (cm *condManager) removeNone(e *entry) {
 
 // relaySignal implements the relay signaling rule (§4.2): if no signal is
 // already pending, find one waiter whose globalized predicate is true and
-// signal it — by closing that waiter's ready channel, which unparks a
-// blocked Await or fires an armed handle's select case. A pending signal
-// means an active waiter already exists (Definition 3 counts signaled
-// threads as active), so relay invariance holds without a second search —
-// and the signaled waiter itself relays again before it re-waits (Fig. 6),
-// or on the Exit/re-arm that ends its Claim, keeping the chain alive. A
-// search that runs ends in a recorded KRelay, the span of the search and
-// the signal.
+// signal it on its ready channel, where a token unparks a blocked Await
+// and a close fires an armed handle's select case. A pending signal means
+// an active waiter already exists (Definition 3 counts signaled threads
+// as active), so relay invariance holds without a second search — and the
+// signaled waiter itself relays again before it re-waits (Fig. 6), or on
+// the Exit/re-arm that ends its Claim, keeping the chain alive. A search
+// that runs ends in a recorded KRelay, the span of the search and the
+// signal.
 func (cm *condManager) relaySignal() {
 	cm.m.stats.RelayCalls++
 	if cm.pending > 0 {
@@ -402,6 +403,7 @@ func (cm *condManager) register(w *Wait) {
 // stable while it has waiters (deactivation requires an empty waiter
 // list), so the per-group waiter totals are exact. A group that loses
 // its last waiter may stay a search candidate; the next search drops it.
+// A spare waiter beyond the new Waiting count is dropped.
 func (cm *condManager) unregister(w *Wait) {
 	e := w.e
 	last := len(e.waiters) - 1
@@ -418,6 +420,34 @@ func (cm *condManager) unregister(w *Wait) {
 		n.group.waiters--
 	}
 	cm.m.waiting--
+	if last := len(cm.spare) - 1; last >= cm.m.waiting {
+		cm.spare[last] = nil
+		cm.spare = cm.spare[:last]
+	}
+}
+
+// takeWait returns the waiter for a blocking wait: a spare one when the
+// monitor has one, else a new one, whose ready channel holds the one
+// token a notification sends.
+func (cm *condManager) takeWait() *Wait {
+	if last := len(cm.spare) - 1; last >= 0 {
+		w := cm.spare[last]
+		cm.spare[last] = nil
+		cm.spare = cm.spare[:last]
+		return w
+	}
+	return &Wait{host: cm.m, ready: make(chan struct{}, 1), blocking: true, idx: -1}
+}
+
+// putWait keeps a finished blocking waiter, unregistered and with no
+// give-up trigger, for a later wait while fewer spares than registered
+// waiters are kept (unregister trims the list), so the list empties when
+// the monitor idles.
+func (cm *condManager) putWait(w *Wait) {
+	if len(cm.spare) < cm.m.waiting {
+		*w = Wait{host: w.host, ready: w.ready, blocking: true, idx: -1}
+		cm.spare = append(cm.spare, w)
+	}
 }
 
 // findTrue returns the waiter the relay signals: an unnotified waiter of a

@@ -399,13 +399,16 @@ func TestHeapStressManyKeys(t *testing.T) {
 	checkRelayState(t, m)
 }
 
-// checkRelayState asserts the condition manager's relay-search state at
-// a lock release: cand holds each group at most once, with its flag set
-// (and no other group has the flag); every group a cell lists as a reader
-// is a live group of cm.groups, so no stale reader survives an eviction;
-// and, with no signal pending, no active or None entry with an
-// unnotified waiter evaluates true (Def. 4), the state the write-driven
-// search relies on.
+// checkRelayState asserts the condition manager's state at a lock
+// release: cand holds each group at most once, with its flag set (and no
+// other group has the flag); every group a cell lists as a reader is a
+// live group of cm.groups, so no stale reader survives an eviction; every
+// cached entry is either active or on the inactive ring, not both, and
+// the parked count is the ring's length; the spare list holds at most
+// m.waiting waiters, each unregistered, unnotified, with an empty channel
+// and no give-up trigger; and, with no signal pending, no active or None
+// entry with an unnotified waiter evaluates true (Def. 4), the state the
+// write-driven search relies on.
 func checkRelayState(t *testing.T, m *Monitor) {
 	t.Helper()
 	m.mu.Lock()
@@ -435,6 +438,30 @@ func checkRelayState(t *testing.T, m *Monitor) {
 			}
 		}
 	}
+	ring := 0
+	for e := m.cm.lru.next; e != &m.cm.lru; e = e.next {
+		ring++
+		if m.cm.entries[e.canon] != e {
+			t.Errorf("parked entry %q is not in the entry map", e.canon)
+		}
+	}
+	if ring != m.cm.parked {
+		t.Errorf("inactive ring holds %d entries, parked count is %d", ring, m.cm.parked)
+	}
+	for _, e := range m.cm.entries {
+		if e.active == (e.prev != nil) {
+			t.Errorf("cached entry %q: active %v, on the inactive ring %v", e.canon, e.active, e.prev != nil)
+		}
+	}
+	if len(m.cm.spare) > m.waiting {
+		t.Errorf("%d spare waiters, %d registered", len(m.cm.spare), m.waiting)
+	}
+	for _, w := range m.cm.spare {
+		if w.idx != -1 || w.e != nil || w.notified || len(w.ready) != 0 || w.timer != nil || w.stopCtx != nil {
+			t.Errorf("spare waiter in use: idx %d, entry %v, notified %v, %d tokens, timer %v, ctx stop %v",
+				w.idx, w.e != nil, w.notified, len(w.ready), w.timer != nil, w.stopCtx != nil)
+		}
+	}
 	if m.cm.pending > 0 {
 		return
 	}
@@ -443,8 +470,10 @@ func checkRelayState(t *testing.T, m *Monitor) {
 			t.Errorf("no signal pending, yet %q holds with an unnotified waiter", e.canon)
 		}
 	}
-	for _, e := range m.cm.table {
-		holds(e)
+	for _, e := range m.cm.entries {
+		if e.active {
+			holds(e)
+		}
 	}
 	for _, e := range m.cm.none {
 		holds(e)
@@ -706,6 +735,70 @@ func TestEntryReuseAllocFree(t *testing.T) {
 			checkRelayState(t, m)
 		})
 	}
+}
+
+// TestParkRoundTripAllocFree: a blocking wait that parks on a cached
+// predicate allocates nothing. A partner parks on x == k || stop for odd
+// k; each round sets x to the partner's key and awaits the next, even,
+// key, which the partner writes before it parks on its next odd key. One
+// round is two parks, each of which reuses a parked entry and a spare
+// waiter: after a warm-up over the 16 keys it registers no entry and
+// allocates nothing.
+func TestParkRoundTripAllocFree(t *testing.T) {
+	const keys = 16
+	m := New()
+	x := m.NewInt("x", 0)
+	stop := m.NewBool("stop", false)
+	p := m.MustCompile("x == k || stop")
+	binds := make([][]Binding, keys+1)
+	for k := range binds {
+		binds[k] = []Binding{BindInt("k", int64(k))}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Enter()
+		defer m.Exit()
+		for k := 1; ; k = (k + 2) % keys {
+			if err := p.Await(binds[k]...); err != nil {
+				t.Error(err)
+				return
+			}
+			if stop.Get() {
+				return
+			}
+			x.Set(int64(k + 1))
+		}
+	}()
+	defer func() {
+		m.Do(func() { stop.Set(true) })
+		waitTimeout(t, 10*time.Second, "partner", func() { <-done })
+	}()
+	waitParked(t, m, 1)
+	k, rounds := 1, uint64(0)
+	round := func() {
+		m.Enter()
+		x.Set(int64(k))
+		if err := p.Await(binds[k+1]...); err != nil {
+			t.Error(err)
+		}
+		m.Exit()
+		k = (k + 2) % keys
+		rounds++
+	}
+	for range keys / 2 {
+		round()
+	}
+	before := m.Stats()
+	rounds = 0
+	if a := testing.AllocsPerRun(200, round); a != 0 {
+		t.Errorf("a park round trip allocates %v times, want 0", a)
+	}
+	s := m.Stats()
+	if reuses, regs := s.Reuses-before.Reuses, s.Registrations-before.Registrations; reuses != 2*rounds || regs != 0 {
+		t.Errorf("%d round trips reused %d entries and registered %d, want %d and 0", rounds, reuses, regs, 2*rounds)
+	}
+	checkRelayState(t, m)
 }
 
 // TestGroupLivesWithCachedEntries: a shared-expression group lives as

@@ -338,20 +338,23 @@ func (m *Monitor) awaitFunc(ctx context.Context, deadline time.Time, pred func()
 
 // wait is the waituntil loop of Fig. 6, expressed over a first-class
 // waiter: register a *Wait on the entry, relay a signal to some other
-// true-condition waiter, park on the handle's ready channel, and on
+// true-condition waiter, park on the waiter's ready channel, and on
 // notification consume the signal and re-check the predicate Mesa-style.
 // The blocking Await is thus a thin wrapper around the same waiter object
-// the handle API exposes; only the parking differs. A context or deadline
-// arms the shared give-up path (host.giveUpOn), whose wake notifies the
-// waiter; the waiter observes the mark on wake-up — before the Mesa
-// re-check, so a give-up wins a race against the predicate becoming
-// true — and leaves through the same repair as a cancelled handle.
+// the handle API exposes; only the parking differs: on a token instead of
+// a close, with a waiter from the monitor's spare list. A context or
+// deadline arms the shared give-up path (host.giveUpOn), whose wake
+// notifies the waiter; the waiter observes the mark on wake-up — before
+// the Mesa re-check, so a give-up wins a race against the predicate
+// becoming true — and leaves through the same repair as a cancelled
+// handle.
 func (m *Monitor) wait(ctx context.Context, deadline time.Time, e *entry, rank int64) error {
-	w := newWait(m)
+	w := m.cm.takeWait()
 	w.e = e
 	w.rank = rank
 	m.cm.register(w)
-	if givesUp(ctx, deadline) {
+	canGiveUp := givesUp(ctx, deadline)
+	if canGiveUp {
 		m.giveUpOn(ctx, deadline, w, func() {
 			if !w.notified {
 				// A direct notification, not a relay signal: no signal
@@ -368,10 +371,10 @@ func (m *Monitor) wait(ctx context.Context, deadline time.Time, e *entry, rank i
 		m.cm.relayOrigin = 0
 	}
 
+	ready := w.ready
 	var parked int64 // start stamp of the latest park, for the await span
 	for {
 		m.cm.relaySignal()
-		ready := w.ready
 		parked = m.spanStart()
 		m.mu.Unlock()
 		<-ready
@@ -402,6 +405,11 @@ func (m *Monitor) wait(ctx context.Context, deadline time.Time, e *entry, rank i
 	m.observeWait(w.since, w.seq)
 	m.cm.unregister(w)
 	m.retireIfIdle(e)
+	if !canGiveUp {
+		// A give-up trigger that fired may still wait for the monitor to
+		// mark w, so only a wait that armed none lends w to the next.
+		m.cm.putWait(w)
+	}
 	m.in = true
 	return nil
 }
@@ -428,9 +436,10 @@ func (m *Monitor) consumeSignal(w *Wait) {
 
 // rearmWaiter returns a still-registered waiter to the signalable pool.
 // Only a waiter that consumed a notification re-enters the unnotified
-// count and gets a fresh ready channel — an early Claim re-arms a waiter
-// that was never notified, whose registration count and channel still
-// stand. Runs under the monitor lock.
+// count and is re-armed (a handle gets a fresh ready channel, a blocking
+// waiter keeps its own) — an early Claim re-arms a waiter that was never
+// notified, whose registration count and channel still stand. Runs under
+// the monitor lock.
 func (m *Monitor) rearmWaiter(w *Wait) {
 	if w.notified {
 		w.e.unnotified++
@@ -499,11 +508,11 @@ func (m *Monitor) PendingSignals() int {
 // AutoSynch-T variant).
 func (m *Monitor) Tagging() bool { return m.cfg.tagging }
 
-// DebugCounts returns sizes of the tag structures in use: active
-// predicate entries, inactive (parked) entries, shared-expression groups
-// that hold at least one tag node, and None-list length. A group named
-// only by parked entries holds no tag node and is not counted. Intended
-// for tests and the ablation benchmarks.
+// DebugCounts returns sizes of the tag structures in use: cached entries
+// that are active and that are parked on the inactive list,
+// shared-expression groups that hold at least one tag node, and None-list
+// length. A group named only by parked entries holds no tag node and is
+// not counted. Intended for tests and the ablation benchmarks.
 func (m *Monitor) DebugCounts() (active, inactive, groups, none int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -512,7 +521,7 @@ func (m *Monitor) DebugCounts() (active, inactive, groups, none int) {
 			groups++
 		}
 	}
-	return len(m.cm.table), len(m.cm.inactive), groups, len(m.cm.none)
+	return len(m.cm.entries) - m.cm.parked, m.cm.parked, groups, len(m.cm.none)
 }
 
 // ---------------------------------------------------------------------------

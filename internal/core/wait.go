@@ -105,10 +105,14 @@ type waitHost interface {
 type Wait struct {
 	host waitHost
 
-	// All remaining fields are guarded by the host's monitor lock.
-	ready    chan struct{} // closed to notify; replaced on re-arm
+	// All remaining fields are guarded by the host's monitor lock. A
+	// handle's ready channel is closed to notify and replaced on re-arm;
+	// a blocking waiter's (blocking set; never seen by a caller) has room
+	// for the one token a notification sends, and is kept for reuse.
+	ready    chan struct{}
+	blocking bool
 	state    waitState
-	notified bool  // ready is closed for the current arm cycle
+	notified bool  // the current arm cycle's notification is delivered
 	viaRelay bool  // the notification is an unconsumed signal: Monitor's relay or a Cond.Signal
 	err      error // terminal error (arm failure, ErrCancelled, ErrDeadline) or a parked wait's give-up mark
 	e        *entry
@@ -154,14 +158,20 @@ func failedWait(err error) *Wait {
 	return w
 }
 
-// notify closes the ready channel for the current arm cycle. Idempotent;
-// runs under the host lock.
+// notify delivers the current arm cycle's notification: it closes a
+// handle's ready channel, or sends a blocking waiter its one token (the
+// notified flag allows one per cycle). Idempotent; runs under the host
+// lock.
 func (w *Wait) notify() {
 	if w.notified {
 		return
 	}
 	w.notified = true
-	close(w.ready)
+	if w.blocking {
+		w.ready <- struct{}{}
+	} else {
+		close(w.ready)
+	}
 	if w.selCh != nil {
 		// At most one delivery is outstanding per handle (notify is gated
 		// by the notified flag and re-arming happens under the subscriber's
@@ -175,18 +185,21 @@ func (w *Wait) notify() {
 	}
 }
 
-// rearm resets the handle for another notification cycle: a fresh channel
-// and cleared delivery flags. A handle never notified keeps its channel,
-// still open, so a goroutine already receiving from it is woken by the
-// next notification. Runs under the host lock; the caller settles any
-// in-flight-signal accounting first.
+// rearm resets the waiter for another notification cycle: cleared
+// delivery flags and, for a handle, a fresh channel (a blocking waiter's
+// goroutine has received its token). A handle never notified keeps its
+// channel, still open, so a goroutine already receiving from it is woken
+// by the next notification. Runs under the host lock; the caller settles
+// any in-flight-signal accounting first.
 func (w *Wait) rearm() {
 	if !w.notified {
 		return
 	}
 	w.notified = false
 	w.viaRelay = false
-	w.ready = make(chan struct{})
+	if !w.blocking {
+		w.ready = make(chan struct{})
+	}
 }
 
 // subscribe attaches a shared Select delivery channel to the handle: the
