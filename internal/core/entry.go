@@ -26,11 +26,14 @@ type entry struct {
 	unnotified int     // waiters with no notification in flight
 
 	evalFn   func() bool   // whole-predicate evaluation against the cells
-	conjTags []tag.Tag     // tag analysis per conjunction (for registration)
+	conjTags []tag.Tag     // tag analysis per conjunction; retain consumes it into nodes
 	outside  *outsideReads // cells read outside the tags; nil for most entries
 
-	nodes   []*tagNode // tag nodes the entry is registered in (deduplicated)
-	noneIdx int        // index in the None scan list, -1 when absent
+	// nodes is conjunction-aligned: nodes[i] is conjunction i's tag node,
+	// nil for a None tag and for every conjunction when tagging is off.
+	// The entry holds its nodes while it is cached, active or parked.
+	nodes   []*tagNode
+	noneIdx int // index in the None scan list, -1 when absent
 
 	// prev and next link a parked entry into the inactive LRU ring
 	// (condManager.lru); both are nil while the entry is active.

@@ -270,15 +270,16 @@ func (p *Predicate) GenSpec() GenSpec {
 
 // EntryProbe is the registration-time view of one (predicate, bindings)
 // combination: the entry identity, its evaluator's current verdict, and
-// the tags it would register under. Differential tests compare probes
-// across a generated-evaluator monitor, the closure-compiled fallback,
-// and the AST interpreter to pin codegen ≡ interpreter.
+// the tags it is registered under, read back from its tag nodes.
+// Differential tests compare probes across a generated-evaluator monitor,
+// the closure-compiled fallback, and the AST interpreter to pin codegen ≡
+// interpreter.
 type EntryProbe struct {
 	Fast   bool      // fast-path evaluator verdict before registration
 	Folded bool      // globalization folded to constant true (no entry)
 	Canon  string    // entry identity ("" when folded)
 	Eval   bool      // entry evaluator verdict at probe time
-	Tags   []tag.Tag // per-conjunction tags the entry registers under
+	Tags   []tag.Tag // per-conjunction tags read from the entry's nodes (Form empty)
 }
 
 // ProbeEntry binds, evaluates the fast path, resolves the entry exactly
@@ -311,7 +312,12 @@ func (m *Monitor) ProbeEntry(p *Predicate, binds ...Binding) (EntryProbe, error)
 	pr.Canon = e.canon
 	m.stats.PredicateEvals++
 	pr.Eval = e.evalFn()
-	pr.Tags = append([]tag.Tag(nil), e.conjTags...)
+	pr.Tags = make([]tag.Tag, len(e.nodes))
+	for i, n := range e.nodes {
+		if n != nil {
+			pr.Tags[i] = tag.Tag{Kind: n.kind, Expr: n.group.exprStr, Key: n.key, Op: n.op}
+		}
+	}
 	m.retireIfIdle(e)
 	return pr, nil
 }

@@ -10,11 +10,12 @@ import (
 
 // condManager owns the predicate table, the tag structures, and the
 // inactive list of one monitor (§5.2, Fig. 7). One map caches every
-// entry, active or parked on the inactive list. Its relay search is
-// write-driven: a cell write puts the cell on dirty, and findTrue visits
-// only the groups with waiters that read a written cell, plus the
-// candidates an earlier search left unfinished. Every method runs under
-// the monitor lock.
+// entry, active or parked on the inactive list. A cached entry keeps its
+// tag nodes and their groups, so a reuse only re-enters the nodes it
+// names. Its relay search is write-driven: a cell write puts the cell on
+// dirty, and findTrue visits only the groups with waiters that read a
+// written cell, plus the candidates an earlier search left unfinished.
+// Every method runs under the monitor lock.
 type condManager struct {
 	m *Monitor
 
@@ -24,14 +25,14 @@ type condManager struct {
 	id      []byte            // template identity scratch, looked up without a string
 
 	// groups indexes the tag structures by canonical shared expression. A
-	// group stays while a cached entry, active or parked, names it: a
-	// parked entry keeps its groups' compiled evaluators alive, and the
-	// eviction or discard of the last entry naming a group releases it.
+	// group, like each of its tag nodes, stays while a cached entry,
+	// active or parked, names it: a parked entry keeps its nodes and its
+	// groups' compiled evaluators alive, and the eviction or discard of
+	// the last entry naming a node or group releases it.
 	groups map[string]*sharedGroup
 	dirty  []*cellWatch   // cells written since the last fold
 	cand   []*sharedGroup // groups the relay search still has to visit, in order
 	none   []*entry       // entries needing exhaustive search
-	free   []*tagNode     // detached tag nodes for reuse, at most inactiveLimit
 	backup []*tagNode     // searchHeap's popped roots, reused (searches never nest)
 	pick   *Wait          // the waiter the search in progress would signal; nil between searches
 	spare  []*Wait        // finished blocking waiters for reuse, at most m.waiting
@@ -60,15 +61,16 @@ func newCondManager(m *Monitor) *condManager {
 // predicate's canonical string, or a template identity rendered into
 // cm.id) in one lookup, reactivating a parked entry when the same
 // identity was used before (predicate reuse, §5.2). A parked entry still
-// names its groups, whose compiled evaluators it kept alive, and the
-// lookup does not copy id, so a reuse compiles and allocates nothing. On
-// a miss, build constructs the entry under id as a string.
+// holds its tag nodes and their groups, whose compiled evaluators it kept
+// alive, and the lookup does not copy id, so a reuse compiles and
+// allocates nothing. On a miss, build constructs the entry under id as a
+// string.
 func getEntry[ID string | []byte](cm *condManager, id ID, build func(canon string) (*entry, error)) (*entry, error) {
 	if e, ok := cm.entries[string(id)]; ok {
 		if !e.active {
 			cm.unpark(e)
 			cm.m.stats.Reuses++
-			cm.activate(e, false)
+			cm.activate(e)
 		}
 		return e, nil
 	}
@@ -78,63 +80,64 @@ func getEntry[ID string | []byte](cm *condManager, id ID, build func(canon strin
 	}
 	cm.entries[e.canon] = e
 	cm.m.stats.Registrations++
-	cm.activate(e, true)
+	cm.activate(e)
 	return e, nil
 }
 
-// activate registers a cached entry in the tag structures (or the None
-// list when tagging is disabled). A fresh entry first takes its
-// references on the groups it names (retain); a parked one still holds
-// them. A recorded KTag is the span of the update.
-func (cm *condManager) activate(e *entry, fresh bool) {
+// activate enters a cached entry into its tag nodes, once into each
+// distinct node, and pushes a threshold node that had no active entry
+// back into its heap; an entry with a conjunction that has no node (a
+// None tag, or tagging disabled) joins the None list. A fresh entry,
+// whose tag analysis is not yet consumed, first takes its nodes
+// (retain); a parked one still holds them. A recorded KTag is the span
+// of the update.
+func (cm *condManager) activate(e *entry) {
 	start := cm.m.spanStart()
-	if fresh {
+	if e.conjTags != nil {
 		cm.retain(e)
 	}
 	e.active = true
-	for i := range e.conjTags {
-		tg := &e.conjTags[i]
-		if !cm.m.cfg.tagging || tg.Kind == tag.None {
+	for i, n := range e.nodes {
+		if n == nil {
 			if e.noneIdx < 0 {
 				e.noneIdx = len(cm.none)
 				cm.none = append(cm.none, e)
 			}
 			continue
 		}
-		node := cm.nodeFor(cm.groups[tg.Expr], tg)
-		if slices.Contains(e.nodes, node) {
+		if slices.Contains(e.nodes[:i], n) {
 			continue
 		}
-		node.addEntry(e)
-		e.nodes = append(e.nodes, node)
+		n.addEntry(e)
+		if n.kind == tag.Threshold && n.heapIdx < 0 {
+			n.group.heapFor(n.op).push(n)
+		}
 	}
 	if r := cm.m.rec; r != nil {
 		r.Record(obs.KTag, 0, start)
 	}
 }
 
-// retain takes a fresh entry's references on the groups its tags name,
-// creating a group, with its compiled evaluator, on first use, and links
-// each cell a tagged conjunction reads to the conjunction's group: the
-// group's own cells when it is created, the cells read outside the tag
-// for each entry. A tag whose shared expression does not compile (an
-// undeclared variable in a hand-built DNF) becomes the None tag, so the
-// entry is searched exhaustively and names the same groups for as long
-// as it is cached.
+// retain gives a fresh entry its tag nodes, consuming its tag analysis:
+// for each tagged conjunction it takes a reference on the conjunction's
+// group, creating the group, with its compiled evaluator, on first use,
+// and on the conjunction's node (nodeFor). It links each cell a tagged
+// conjunction reads to the conjunction's group: the group's own cells
+// when it is created, the cells read outside the tag for each entry. A
+// tag whose shared expression does not compile (an undeclared variable in
+// a hand-built DNF) gets no node, as a None tag does, so the entry is
+// searched exhaustively for as long as it is cached.
 func (cm *condManager) retain(e *entry) {
-	if !cm.m.cfg.tagging {
-		return
-	}
+	e.nodes = make([]*tagNode, len(e.conjTags))
 	for i := range e.conjTags {
 		tg := &e.conjTags[i]
-		if tg.Kind == tag.None {
+		if !cm.m.cfg.tagging || tg.Kind == tag.None {
 			continue
 		}
 		g, ok := cm.groups[tg.Expr]
 		if !ok {
 			eval, err := cm.m.compileForm(tg.Form)
 			if err != nil {
-				*tg = tag.Tag{Kind: tag.None}
 				continue
 			}
 			g = &sharedGroup{
@@ -144,33 +147,40 @@ func (cm *condManager) retain(e *entry) {
 				minHeap: tagHeap{min: true},
 				maxHeap: tagHeap{min: false},
 			}
-			cm.groups[tg.Expr] = g
-			for name := range tg.Form.Coeffs {
-				cm.m.vars[name].watch().link(g)
+			for _, name := range tg.Form.Vars() {
+				c := cm.m.vars[name].watch()
+				c.link(g)
+				g.cells = append(g.cells, c)
 			}
+			cm.groups[tg.Expr] = g
 		}
 		g.refs++
 		for _, c := range e.outsideOf(i) {
 			c.link(g)
 		}
+		n := cm.nodeFor(g, tg, e.nodes[:i])
+		n.refs++
+		e.nodes[i] = n
 	}
+	e.conjTags = nil
 }
 
 // release drops an entry that leaves the cache, evicted or discarded,
-// with its group references and reader links. A group no cached entry
-// names any more holds no tag node, and is dropped with its compiled
-// evaluator, its own cells' links and its place among the candidates.
+// with its node and group references and its reader links. A node no
+// cached entry names any more has no active entry, so it is in no heap;
+// an equivalence node then leaves its group's table. A group no cached
+// entry names any more is dropped with its compiled evaluator, its own
+// cells' links and its place among the candidates.
 func (cm *condManager) release(e *entry) {
 	delete(cm.entries, e.canon)
-	if !cm.m.cfg.tagging {
-		return
-	}
-	for i := range e.conjTags {
-		tg := &e.conjTags[i]
-		if tg.Kind == tag.None {
+	for i, n := range e.nodes {
+		if n == nil {
 			continue
 		}
-		g := cm.groups[tg.Expr]
+		g := n.group
+		if n.refs--; n.refs == 0 && n.kind == tag.Equivalence {
+			delete(g.equiv, n.key)
+		}
 		for _, c := range e.outsideOf(i) {
 			c.unlink(g)
 		}
@@ -178,69 +188,41 @@ func (cm *condManager) release(e *entry) {
 		if g.refs != 0 {
 			continue
 		}
-		for name := range tg.Form.Coeffs {
-			cm.m.vars[name].watch().unlink(g)
+		for _, c := range g.cells {
+			c.unlink(g)
 		}
 		if g.cand {
 			j := slices.Index(cm.cand, g)
 			cm.cand = slices.Delete(cm.cand, j, j+1)
 		}
-		delete(cm.groups, tg.Expr)
+		delete(cm.groups, g.exprStr)
 	}
 }
 
-// nodeFor finds the tag node for tg in its group g, or attaches a new
-// one, recycled from the free list when it can be.
-func (cm *condManager) nodeFor(g *sharedGroup, tg *tag.Tag) *tagNode {
+// nodeFor finds or creates the tag node for tg in its group g, for a
+// fresh entry whose earlier conjunctions took the nodes taken. An
+// equivalence node is shared through the group's table, which holds every
+// node a cached entry names. A threshold node is shared only with a node
+// resident in its heap, one with active entries, or taken by the same
+// entry: a parked entry's node is not found, so two nodes with the same
+// key and operator can coexist, and the heap search then visits both.
+func (cm *condManager) nodeFor(g *sharedGroup, tg *tag.Tag, taken []*tagNode) *tagNode {
 	if tg.Kind == tag.Equivalence {
-		if n, ok := g.equiv[tg.Key]; ok {
-			return n
+		n, ok := g.equiv[tg.Key]
+		if !ok {
+			n = &tagNode{group: g, kind: tg.Kind, key: tg.Key, op: tg.Op, heapIdx: -1}
+			g.equiv[tg.Key] = n
 		}
-		n := cm.newNode(g, tg)
-		g.equiv[tg.Key] = n
 		return n
 	}
-	h := g.heapFor(tg.Op)
-	for _, n := range h.items {
-		if n.key == tg.Key && n.op == tg.Op {
-			return n
+	for _, nodes := range [2][]*tagNode{g.heapFor(tg.Op).items, taken} {
+		for _, n := range nodes {
+			if n != nil && n.group == g && n.key == tg.Key && n.op == tg.Op {
+				return n
+			}
 		}
 	}
-	n := cm.newNode(g, tg)
-	h.push(n)
-	return n
-}
-
-// newNode returns an unattached tag node for tg in g, taken from the free
-// list when it has one; a recycled node keeps its entries slice's
-// capacity.
-func (cm *condManager) newNode(g *sharedGroup, tg *tag.Tag) *tagNode {
-	var n *tagNode
-	if last := len(cm.free) - 1; last >= 0 {
-		n = cm.free[last]
-		cm.free[last] = nil
-		cm.free = cm.free[:last]
-	} else {
-		n = new(tagNode)
-	}
-	*n = tagNode{group: g, kind: tg.Kind, key: tg.Key, op: tg.Op, entries: n.entries, heapIdx: -1}
-	return n
-}
-
-// detach removes a tag node that lost its last entry from its group, and
-// keeps it for reuse while the free list is shorter than the inactive
-// limit.
-func (cm *condManager) detach(n *tagNode) {
-	g := n.group
-	if n.kind == tag.Equivalence {
-		delete(g.equiv, n.key)
-	} else if n.heapIdx >= 0 {
-		g.heapFor(n.op).remove(n)
-	}
-	n.group = nil
-	if len(cm.free) < cm.m.cfg.inactiveLimit {
-		cm.free = append(cm.free, n)
-	}
+	return &tagNode{group: g, kind: tg.Kind, key: tg.Key, op: tg.Op, heapIdx: -1}
 }
 
 // heapFor selects the heap for a threshold operator: {>, ≥} tags live in
@@ -252,14 +234,14 @@ func (g *sharedGroup) heapFor(op expr.Op) *tagHeap {
 	return &g.maxHeap
 }
 
-// deactivate unregisters an entry with no remaining waiters from the tag
-// structures and detaches the tag nodes it leaves empty. Static (shared)
-// predicates stay active forever; closure entries never get here
-// (retireIfIdle); everything else is parked on the inactive list for
-// reuse, still cached and naming its groups, so their compiled evaluators
-// stay alive, or discarded under WithInactiveLimit(0). Past the limit the
-// oldest parked entries are evicted, which releases their groups. A
-// recorded KTag is the span of the update.
+// deactivate takes an entry with no remaining waiters out of its tag
+// nodes; a threshold node left with no active entry leaves its heap.
+// Static (shared) predicates stay active forever; closure entries never
+// get here (retireIfIdle); everything else is parked on the inactive list
+// for reuse, still cached and holding its nodes and groups, so their
+// compiled evaluators stay alive, or discarded under WithInactiveLimit(0).
+// Past the limit the oldest parked entries are evicted, which releases
+// their nodes and groups. A recorded KTag is the span of the update.
 func (cm *condManager) deactivate(e *entry) {
 	if e.static || !e.active {
 		return
@@ -267,13 +249,14 @@ func (cm *condManager) deactivate(e *entry) {
 	start := cm.m.spanStart()
 	e.active = false
 	for _, n := range e.nodes {
+		if n == nil {
+			continue
+		}
 		n.removeEntry(e)
-		if len(n.entries) == 0 {
-			cm.detach(n)
+		if len(n.entries) == 0 && n.heapIdx >= 0 {
+			n.group.heapFor(n.op).remove(n)
 		}
 	}
-	clear(e.nodes)
-	e.nodes = e.nodes[:0]
 	if e.noneIdx >= 0 {
 		cm.removeNone(e)
 	}
@@ -394,16 +377,18 @@ func (cm *condManager) register(w *Wait) {
 	e.waiters = append(e.waiters, w)
 	e.unnotified++
 	for _, n := range e.nodes {
-		n.group.waiters++
+		if n != nil {
+			n.group.waiters++
+		}
 	}
 	cm.m.waiting++
 }
 
-// unregister detaches a waiter from its entry. An entry's node set is
-// stable while it has waiters (deactivation requires an empty waiter
-// list), so the per-group waiter totals are exact. A group that loses
-// its last waiter may stay a search candidate; the next search drops it.
-// A spare waiter beyond the new Waiting count is dropped.
+// unregister detaches a waiter from its entry. An entry's nodes do not
+// change while it is cached, so the per-group waiter totals are exact. A
+// group that loses its last waiter may stay a search candidate; the next
+// search drops it. A spare waiter beyond the new Waiting count is
+// dropped.
 func (cm *condManager) unregister(w *Wait) {
 	e := w.e
 	last := len(e.waiters) - 1
@@ -417,7 +402,9 @@ func (cm *condManager) unregister(w *Wait) {
 		e.unnotified--
 	}
 	for _, n := range e.nodes {
-		n.group.waiters--
+		if n != nil {
+			n.group.waiters--
+		}
 	}
 	cm.m.waiting--
 	if last := len(cm.spare) - 1; last >= cm.m.waiting {
@@ -531,11 +518,12 @@ func (cm *condManager) done() bool { return cm.pick != nil && cm.m.pol == nil }
 
 // searchGroup offers the signalable true entries reached through the tags
 // of g that hold, the equivalence probe and then both threshold heaps, and
-// reports whether it found one.
+// reports whether it found one. A probed equivalence node that only
+// parked entries name is passed over without a tag check.
 func (cm *condManager) searchGroup(g *sharedGroup) bool {
 	v := g.eval()
 	found := false
-	if node, ok := g.equiv[v]; ok {
+	if node, ok := g.equiv[v]; ok && len(node.entries) > 0 {
 		cm.m.stats.TagChecks++
 		found = cm.offerTrue(node.entries)
 	}

@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/tag"
 	"repro/internal/testutil"
 )
 
@@ -404,10 +406,11 @@ func TestHeapStressManyKeys(t *testing.T) {
 // other group has the flag); every group a cell lists as a reader is a
 // live group of cm.groups, so no stale reader survives an eviction; every
 // cached entry is either active or on the inactive ring, not both, and
-// the parked count is the ring's length; the spare list holds at most
-// m.waiting waiters, each unregistered, unnotified, with an empty channel
-// and no give-up trigger; and, with no signal pending, no active or None
-// entry with an unnotified waiter evaluates true (Def. 4), the state the
+// the parked count is the ring's length; the tag nodes live with the
+// cached entries (checkTagNodes); the spare list holds at most m.waiting
+// waiters, each unregistered, unnotified, with an empty channel and no
+// give-up trigger; and, with no signal pending, no active or None entry
+// with an unnotified waiter evaluates true (Def. 4), the state the
 // write-driven search relies on.
 func checkRelayState(t *testing.T, m *Monitor) {
 	t.Helper()
@@ -453,6 +456,7 @@ func checkRelayState(t *testing.T, m *Monitor) {
 			t.Errorf("cached entry %q: active %v, on the inactive ring %v", e.canon, e.active, e.prev != nil)
 		}
 	}
+	checkTagNodes(t, m)
 	if len(m.cm.spare) > m.waiting {
 		t.Errorf("%d spare waiters, %d registered", len(m.cm.spare), m.waiting)
 	}
@@ -477,6 +481,78 @@ func checkRelayState(t *testing.T, m *Monitor) {
 	}
 	for _, e := range m.cm.none {
 		holds(e)
+	}
+}
+
+// checkTagNodes asserts that the tag nodes live exactly as long as a
+// cached entry names them. Every node of a cached entry has its group in
+// cm.groups; its refs count the (cached entry, conjunction) pairs that
+// name it; its entries are exactly the active entries that name it, each
+// once; a threshold node is in its heap exactly when it has entries, and
+// an equivalence node stays in its group's table. Every node in a table or
+// a heap is named by a cached entry. A cached entry's tag analysis has
+// been consumed into its nodes. Called with the monitor locked.
+func checkTagNodes(t *testing.T, m *Monitor) {
+	t.Helper()
+	refs := map[*tagNode]int32{}
+	named := map[*tagNode][]*entry{} // active entries naming the node, once each
+	for _, e := range m.cm.entries {
+		if e.conjTags != nil {
+			t.Errorf("cached entry %q keeps its tag analysis", e.canon)
+		}
+		for i, n := range e.nodes {
+			if n == nil {
+				continue
+			}
+			refs[n]++
+			if m.cm.groups[n.group.exprStr] != n.group {
+				t.Errorf("entry %q names a node of group %q, which is not in the group index", e.canon, n.group.exprStr)
+			}
+			if e.active && !slices.Contains(e.nodes[:i], n) {
+				named[n] = append(named[n], e)
+			}
+		}
+	}
+	for n, want := range refs {
+		if n.refs != want {
+			t.Errorf("node (%s %s %d): refs %d, named by %d cached entry conjunctions", n.group.exprStr, n.op, n.key, n.refs, want)
+		}
+		if len(n.entries) != len(named[n]) {
+			t.Errorf("node (%s %s %d) holds %d entries, %d active entries name it", n.group.exprStr, n.op, n.key, len(n.entries), len(named[n]))
+		}
+		for i, e := range n.entries {
+			if !slices.Contains(named[n], e) || slices.Contains(n.entries[:i], e) {
+				t.Errorf("node (%s %s %d) holds entry %q, which is not an active entry naming it once", n.group.exprStr, n.op, n.key, e.canon)
+			}
+		}
+		if n.kind == tag.Equivalence {
+			if n.group.equiv[n.key] != n {
+				t.Errorf("equivalence node (%s == %d) is not in its group's table", n.group.exprStr, n.key)
+			}
+			continue
+		}
+		h := n.group.heapFor(n.op)
+		resident := n.heapIdx >= 0 && int(n.heapIdx) < h.Len() && h.items[n.heapIdx] == n
+		if resident != (len(n.entries) > 0) {
+			t.Errorf("threshold node (%s %s %d): in its heap %v, %d entries", n.group.exprStr, n.op, n.key, resident, len(n.entries))
+		}
+		if !resident && n.heapIdx != -1 {
+			t.Errorf("threshold node (%s %s %d) out of its heap has index %d", n.group.exprStr, n.op, n.key, n.heapIdx)
+		}
+	}
+	for _, g := range m.cm.groups {
+		for k, n := range g.equiv {
+			if n.refs <= 0 || refs[n] == 0 || n.key != k {
+				t.Errorf("group %q table holds node %d under key %d with refs %d, named %d times", g.exprStr, n.key, k, n.refs, refs[n])
+			}
+		}
+		for _, h := range []*tagHeap{&g.minHeap, &g.maxHeap} {
+			for i, n := range h.items {
+				if int(n.heapIdx) != i || refs[n] == 0 {
+					t.Errorf("group %q heap holds node (%s %d) at %d with index %d, named %d times", g.exprStr, n.op, n.key, i, n.heapIdx, refs[n])
+				}
+			}
+		}
 	}
 }
 
@@ -819,10 +895,10 @@ func TestGroupLivesWithCachedEntries(t *testing.T) {
 		}
 		return g, len(g.equiv) + g.minHeap.Len() + g.maxHeap.Len()
 	}
-	freeNodes := func(m *Monitor) int {
+	nodes := func(m *Monitor, expr string) int {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return len(m.cm.free)
+		return groupNodes(m, expr)
 	}
 	for _, src := range []string{"x >= k", "k > 0 && x >= k"} {
 		t.Run(src, func(t *testing.T) {
@@ -855,8 +931,8 @@ func TestGroupLivesWithCachedEntries(t *testing.T) {
 			if g, _ := group(m, "y"); g == nil {
 				t.Error("y group dropped while its entry is parked")
 			}
-			if n := freeNodes(m); n > 1 {
-				t.Errorf("free tag nodes = %d, want at most the inactive limit 1", n)
+			if n := nodes(m, "y"); n != 1 {
+				t.Errorf("y group has %d tag nodes with its entry parked, want 1", n)
 			}
 			checkRelayState(t, m)
 
@@ -866,8 +942,8 @@ func TestGroupLivesWithCachedEntries(t *testing.T) {
 			if g, _ := group(m0, "x"); g != nil {
 				t.Error("group outlived its uncached entry under WithInactiveLimit(0)")
 			}
-			if n := freeNodes(m0); n != 0 {
-				t.Errorf("free tag nodes = %d under WithInactiveLimit(0), want 0", n)
+			if n := nodes(m0, "x"); n != 0 {
+				t.Errorf("x group has %d tag nodes under WithInactiveLimit(0), want 0", n)
 			}
 			checkRelayState(t, m0)
 		})
@@ -885,6 +961,214 @@ func TestGroupLivesWithCachedEntries(t *testing.T) {
 			t.Errorf("static group %p with %d tags became %p with %d, want it kept with 1",
 				g, tags, again, againTags)
 		}
+		checkRelayState(t, m)
+	})
+}
+
+// groupNodes returns the number of distinct tag nodes that cached entries
+// name in the group of a shared expression. Called with the monitor
+// locked.
+func groupNodes(m *Monitor, expr string) int {
+	seen := map[*tagNode]bool{}
+	for _, e := range m.cm.entries {
+		for _, n := range e.nodes {
+			if n != nil && n.group.exprStr == expr {
+				seen[n] = true
+			}
+		}
+	}
+	return len(seen)
+}
+
+// TestTagNodesLiveWithCachedEntries: a tag node lives exactly as long as a
+// cached entry names it. Parking an entry keeps its nodes, so a reuse
+// re-enters the same nodes and builds none: a threshold node leaves its
+// heap while no active entry names it and comes back on the reuse, and an
+// equivalence node stays in its group's table, shared by every cached
+// entry with its tag. The eviction of the last entry naming a node drops
+// the node, and a group with no node left goes with it. A parked
+// equivalence node costs a search no tag check.
+func TestTagNodesLiveWithCachedEntries(t *testing.T) {
+	if size := unsafe.Sizeof(tagNode{}); size > 64 {
+		t.Errorf("a tag node takes %d bytes, over the 64-byte size class", size)
+	}
+	// armed arms p and returns the handle with its entry.
+	armed := func(m *Monitor, p *Predicate, binds ...Binding) (*Wait, *entry) {
+		w := p.Arm(binds...)
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return w, w.e
+	}
+	// node returns the node of e that holds the tag of the given kind.
+	node := func(m *Monitor, e *entry, kind tag.Kind) *tagNode {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, n := range e.nodes {
+			if n != nil && n.kind == kind {
+				return n
+			}
+		}
+		t.Fatalf("entry %q has no %v node", e.canon, kind)
+		return nil
+	}
+	inHeap := func(m *Monitor, n *tagNode) bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		h := n.group.heapFor(n.op)
+		return n.heapIdx >= 0 && h.items[n.heapIdx] == n
+	}
+
+	t.Run("threshold", func(t *testing.T) {
+		m := New(WithInactiveLimit(2))
+		m.NewInt("x", 0)
+		p := m.MustCompile("x >= k")
+		w, e := armed(m, p, BindInt("k", 5))
+		n := node(m, e, tag.Threshold)
+		if !inHeap(m, n) {
+			t.Fatal("an armed entry's threshold node is not in its heap")
+		}
+		w.Cancel()
+		if again := node(m, e, tag.Threshold); again != n {
+			t.Error("parking the entry replaced its threshold node")
+		}
+		if inHeap(m, n) {
+			t.Error("a parked entry's threshold node stayed in its heap")
+		}
+		checkRelayState(t, m)
+		w, again := armed(m, p, BindInt("k", 5))
+		if again != e {
+			t.Fatal("re-arming built a new entry")
+		}
+		if node(m, e, tag.Threshold) != n || !inHeap(m, n) {
+			t.Error("the reused entry is not back in its own node in the heap")
+		}
+		if s := m.Stats(); s.Reuses != 1 || s.Registrations != 1 {
+			t.Errorf("registrations/reuses = %d/%d, want 1/1", s.Registrations, s.Reuses)
+		}
+		checkRelayState(t, m)
+		w.Cancel()
+		checkRelayState(t, m)
+	})
+
+	t.Run("equivalence", func(t *testing.T) {
+		m := New(WithInactiveLimit(2))
+		m.NewInt("x", 0)
+		m.NewInt("c", 0)
+		m.NewBool("stop", false)
+		m.NewInt("y", 0)
+		p := m.MustCompile("x + k <= c || stop")
+		w, e5 := armed(m, p, BindInt("k", 5))
+		stop := node(m, e5, tag.Equivalence)
+		g := stop.group
+		inTable := func() bool {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return m.cm.groups["stop"] == g && g.equiv[1] == stop
+		}
+		w.Cancel()
+		if !inTable() || node(m, e5, tag.Equivalence) != stop {
+			t.Error("parking the entry took its stop == 1 node out of the table")
+		}
+		w, _ = armed(m, p, BindInt("k", 5))
+		w.Cancel()
+		if !inTable() || node(m, e5, tag.Equivalence) != stop {
+			t.Error("a reuse and a second park replaced the stop == 1 node")
+		}
+		w, e6 := armed(m, p, BindInt("k", 6))
+		w.Cancel()
+		if e6 == e5 || node(m, e6, tag.Equivalence) != stop || !inTable() {
+			t.Error("a second parked entry does not share the stop == 1 node")
+		}
+		m.mu.Lock()
+		if stop.refs != 2 {
+			t.Errorf("stop == 1 node refs = %d with two cached entries, want 2", stop.refs)
+		}
+		m.mu.Unlock()
+		checkRelayState(t, m)
+
+		// Two entries on another group evict both: the first eviction
+		// leaves the node to e6, the second drops it with its group.
+		q := m.MustCompile("y >= k")
+		w, _ = armed(m, q, BindInt("k", 1))
+		w.Cancel()
+		if !inTable() {
+			t.Error("the stop == 1 node left with the first of its two entries")
+		}
+		w, _ = armed(m, q, BindInt("k", 2))
+		w.Cancel()
+		m.mu.Lock()
+		if m.cm.groups["stop"] != nil || groupNodes(m, "stop") != 0 || stop.refs != 0 {
+			t.Errorf("evicting the last entry naming the stop == 1 node left group %p, %d nodes, refs %d",
+				m.cm.groups["stop"], groupNodes(m, "stop"), stop.refs)
+		}
+		m.mu.Unlock()
+		if s := m.Stats(); s.Evictions != 2 {
+			t.Errorf("evictions = %d, want 2", s.Evictions)
+		}
+		checkRelayState(t, m)
+	})
+
+	t.Run("evicted equivalence node", func(t *testing.T) {
+		m := New(WithInactiveLimit(2))
+		m.NewInt("y", 0)
+		p := m.MustCompile("y == k")
+		for k := range int64(3) {
+			w, _ := armed(m, p, BindInt("k", k+1))
+			w.Cancel()
+		}
+		m.mu.Lock()
+		g := m.cm.groups["y"]
+		if g == nil || g.equiv[1] != nil || g.equiv[2] == nil || g.equiv[3] == nil || groupNodes(m, "y") != 2 {
+			t.Errorf("after evicting the y == 1 entry: group %p, table %v, %d nodes; want the group with the y == 2 and y == 3 nodes only",
+				g, g.equiv, groupNodes(m, "y"))
+		}
+		m.mu.Unlock()
+		checkRelayState(t, m)
+	})
+
+	t.Run("one node per tag of an entry", func(t *testing.T) {
+		m := New(WithInactiveLimit(2))
+		for _, name := range []string{"x", "y", "z"} {
+			m.NewInt(name, 0)
+		}
+		p := m.MustCompile("x >= k && y > 0 || x >= k && z > 0")
+		w, e := armed(m, p, BindInt("k", 3))
+		m.mu.Lock()
+		if len(e.nodes) != 2 || e.nodes[0] == nil || e.nodes[0] != e.nodes[1] || e.nodes[0].refs != 2 {
+			t.Errorf("two conjunctions tagged x >= 3 hold nodes %v, want one node with refs 2", e.nodes)
+		}
+		m.mu.Unlock()
+		checkRelayState(t, m)
+		w.Cancel()
+		checkRelayState(t, m)
+	})
+
+	t.Run("parked equivalence node", func(t *testing.T) {
+		m := New(WithInactiveLimit(2))
+		y := m.NewInt("y", 0)
+		p := m.MustCompile("y == k")
+		w, _ := armed(m, p, BindInt("k", 1))
+		w.Cancel()
+		w, _ = armed(m, p, BindInt("k", 2))
+		defer w.Cancel()
+		before := m.Stats().TagChecks
+		m.Do(func() { y.Set(1) })
+		if s := m.Stats(); s.TagChecks != before {
+			t.Errorf("writing y = 1 beside a parked y == 1 entry counted %d tag checks, want 0", s.TagChecks-before)
+		}
+		select {
+		case <-w.Ready():
+			t.Fatal("the y == 2 handle fired at y = 1")
+		default:
+		}
+		m.Do(func() { y.Set(2) })
+		if s := m.Stats(); s.TagChecks != before+1 {
+			t.Errorf("writing y = 2 counted %d tag checks, want 1", s.TagChecks-before)
+		}
+		waitTimeout(t, 5*time.Second, "y == 2 handle", func() { <-w.Ready() })
 		checkRelayState(t, m)
 	})
 }

@@ -510,14 +510,14 @@ func (m *Monitor) Tagging() bool { return m.cfg.tagging }
 
 // DebugCounts returns sizes of the tag structures in use: cached entries
 // that are active and that are parked on the inactive list,
-// shared-expression groups that hold at least one tag node, and None-list
-// length. A group named only by parked entries holds no tag node and is
-// not counted. Intended for tests and the ablation benchmarks.
+// shared-expression groups with an active entry, and None-list length. A
+// group named only by parked entries keeps their tag nodes but is not
+// counted. Intended for tests and the ablation benchmarks.
 func (m *Monitor) DebugCounts() (active, inactive, groups, none int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, g := range m.cm.groups {
-		if !g.empty() {
+		if g.active() {
 			groups++
 		}
 	}

@@ -54,10 +54,10 @@ func WithoutGenerated() Option {
 }
 
 // WithInactiveLimit bounds the inactive predicate list, and with it the
-// shared-expression groups and compiled evaluators that parked entries
-// keep alive for their reuse, and the recycled tag nodes. Evicting an
-// entry releases its groups. Zero disables caching entirely (every
-// deactivated predicate is discarded, with the groups only it named).
+// tag nodes, shared-expression groups and compiled evaluators that parked
+// entries keep alive for their reuse. Evicting an entry releases its
+// nodes and groups. Zero disables caching entirely (every deactivated
+// predicate is discarded, with the nodes and groups only it named).
 func WithInactiveLimit(n int) Option {
 	return func(c *config) {
 		if n >= 0 {

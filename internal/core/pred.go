@@ -314,11 +314,15 @@ func (m *Monitor) compileNode(src string, node expr.Node) (*Predicate, error) {
 // setBinds validates the bindings against the compile-time local-variable
 // set — every local bound exactly once, no unknown or shared names, types
 // matching the inferred ones — and stores the values for the current wait.
-// Called under the monitor lock.
+// Binding j is matched against slot j first, so bindings given in slot
+// order resolve without a map lookup. Called under the monitor lock.
 func (p *Predicate) setBinds(binds []Binding) error {
 	var bound uint64
-	for _, b := range binds {
-		i, ok := p.localIdx[b.Name]
+	for j, b := range binds {
+		i, ok := j, j < len(p.localNames) && p.localNames[j] == b.Name
+		if !ok {
+			i, ok = p.localIdx[b.Name]
+		}
 		if !ok {
 			if _, shared := p.m.vars[b.Name]; shared {
 				return predErrf(p.src, "%q is a shared monitor variable and cannot be bound", b.Name)

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 func TestCompileOnceAwaitMany(t *testing.T) {
@@ -120,6 +122,67 @@ func TestAwaitPredBindValidation(t *testing.T) {
 		var perr *PredicateError
 		if !errors.As(err, &perr) {
 			t.Errorf("%s: error %T is not a *PredicateError", c.name, err)
+		}
+	}
+}
+
+// TestBindReverseSlotOrder: a binding is matched against its own slot
+// first and looked up by name otherwise, so a two-local predicate bound
+// in reverse slot order waits on the right values, and a duplicate,
+// unknown, extra or mistyped binding is rejected in any position.
+func TestBindReverseSlotOrder(t *testing.T) {
+	m := New()
+	x := m.NewInt("x", 0)
+	y := m.NewInt("y", 0)
+	p := m.MustCompile("x >= a && y == b")
+	if got := p.Locals(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("locals = %v, want [a b]", got)
+	}
+	done := make(chan error, 1)
+	go func() {
+		m.Enter()
+		err := p.Await(BindInt("b", 2), BindInt("a", 3))
+		if err == nil && (x.Get() < 3 || y.Get() != 2) {
+			err = fmt.Errorf("woke at x=%d y=%d, want x >= 3 and y == 2", x.Get(), y.Get())
+		}
+		m.Exit()
+		done <- err
+	}()
+	testutil.WaitFor(t, 5*time.Second, 0, func() bool { return m.Waiting() == 1 }, "reverse-bound waiter parked")
+	// The swapped bindings, a = 2 and b = 3, would hold here.
+	m.Do(func() { x.Set(2); y.Set(3) })
+	if w, s := m.Waiting(), m.PendingSignals(); w != 1 || s != 0 {
+		t.Fatalf("at x=2 y=3: %d waiting, %d signals pending; want the waiter still parked", w, s)
+	}
+	m.Do(func() { x.Set(3); y.Set(2) })
+	waitTimeout(t, 5*time.Second, "reverse-bound waiter", func() {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	})
+
+	m.Enter()
+	defer m.Exit()
+	if ok, err := p.Try(BindInt("b", 2), BindInt("a", 3)); err != nil || !ok {
+		t.Errorf("Try(b=2, a=3) at x=3 y=2 = %v, %v; want true", ok, err)
+	}
+	if ok, err := p.Try(BindInt("b", 3), BindInt("a", 2)); err != nil || ok {
+		t.Errorf("Try(b=3, a=2) at x=3 y=2 = %v, %v; want false", ok, err)
+	}
+	for _, c := range []struct {
+		name    string
+		binds   []Binding
+		errPart string
+	}{
+		{"duplicate b", []Binding{BindInt("b", 2), BindInt("b", 3)}, "duplicate binding"},
+		{"duplicate a", []Binding{BindInt("a", 2), BindInt("a", 3)}, "duplicate binding"},
+		{"unknown", []Binding{BindInt("z", 2), BindInt("a", 3)}, "does not match any local"},
+		{"extra", []Binding{BindInt("b", 2), BindInt("a", 3), BindInt("c", 4)}, "does not match any local"},
+		{"mistyped", []Binding{BindBool("b", true), BindInt("a", 3)}, "has type bool"},
+	} {
+		_, err := p.Try(c.binds...)
+		if err == nil || !strings.Contains(err.Error(), c.errPart) {
+			t.Errorf("%s: error %v does not contain %q", c.name, err, c.errPart)
 		}
 	}
 }

@@ -118,6 +118,11 @@ func TestSelectClaimVsFalsify(t *testing.T) {
 	const tokens = 300
 	var bySelect, byThief int64
 	done := make(chan struct{})
+	// A Select parked when the thief takes the last token has nothing
+	// left to wake it, so the thief cancels it once every token is
+	// consumed; each Select's 30-s timeout only guards against a hang.
+	allTaken, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	// The thief consumes inside plain critical sections, never waiting.
 	go func() {
 		defer close(done)
@@ -131,6 +136,7 @@ func TestSelectClaimVsFalsify(t *testing.T) {
 				stop = bySelect+byThief >= tokens
 			})
 			if stop {
+				cancel()
 				return
 			}
 		}
@@ -146,9 +152,11 @@ func TestSelectClaimVsFalsify(t *testing.T) {
 		if quit {
 			break
 		}
-		idx, err := SelectCtx(timeoutCtx(t, 30*time.Second),
+		ctx, stopTimer := context.WithTimeout(allTaken, 30*time.Second)
+		idx, err := SelectCtx(ctx,
 			g.Then(func() { x.Add(-1); bySelect++ }),
 		)
+		stopTimer()
 		if err != nil {
 			// The thief may have consumed the last token while we parked.
 			var fin bool

@@ -12,34 +12,51 @@ import (
 // (Fig. 7): a hash table of equivalence tags keyed by the globalized local
 // value, a min-heap of {>, ≥} threshold tags, and a max-heap of {<, ≤}
 // threshold tags. eval computes the shared expression's current value from
-// the monitor cells. The group lives as long as a cached entry, active or
-// parked, names it (refs): a parked entry keeps its groups' compiled
-// evaluators alive for its reuse, and the eviction or discard of the last
-// entry naming a group releases it.
+// the monitor cells it reads (cells). The group lives as long as a cached
+// entry, active or parked, names it (refs): a parked entry keeps its
+// groups' compiled evaluators alive for its reuse, and the eviction or
+// discard of the last entry naming a group releases it.
 type sharedGroup struct {
 	exprStr string
 	eval    expr.IntFn
+	cells   []*cellWatch // the cells the shared expression reads, each linked to the group
 	equiv   map[int64]*tagNode
 	minHeap tagHeap // ops > and >=, smallest key at the root
 	maxHeap tagHeap // ops < and <=, largest key at the root
-	waiters int32   // total waiters across entries registered here
+	waiters int32   // waiters of the entries registered here, once per conjunction naming the group
 	refs    int32   // tags of cached entries that name this group
 	cand    bool    // on condManager.cand
 }
 
-func (g *sharedGroup) empty() bool {
-	return len(g.equiv) == 0 && g.minHeap.Len() == 0 && g.maxHeap.Len() == 0
+// active reports whether an active entry names one of the group's tag
+// nodes. The heaps hold only nodes with active entries; an equivalence
+// node stays in equiv while a parked entry names it.
+func (g *sharedGroup) active() bool {
+	if g.minHeap.Len() > 0 || g.maxHeap.Len() > 0 {
+		return true
+	}
+	for _, n := range g.equiv {
+		if len(n.entries) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
-// tagNode is one tag instance holding the predicate entries it was assigned
-// to. Multiple predicates with a common conjunct share a node (§4.3.1).
+// tagNode is one tag instance holding the active predicate entries it was
+// assigned to. Multiple predicates with a common conjunct share a node
+// (§4.3.1). A node lives as long as a cached entry, active or parked, names
+// it (refs), so a parked entry keeps its nodes and a reuse only re-enters
+// them. An equivalence node stays in its group's table for all that time;
+// a threshold node is in its heap exactly while it has active entries.
 type tagNode struct {
 	group   *sharedGroup
 	kind    tag.Kind
 	key     int64
-	op      expr.Op // ==, or one of < <= > >=
-	entries []*entry
-	heapIdx int // index within its heap; -1 when not resident
+	op      expr.Op  // ==, or one of < <= > >=
+	entries []*entry // the active entries that name the node, each once
+	heapIdx int32    // index within its heap; -1 when not resident
+	refs    int32    // (cached entry, conjunction) pairs that name the node
 }
 
 // holds reports whether the tag is true given the group's current value v.
@@ -103,13 +120,13 @@ func (h *tagHeap) Less(i, j int) bool {
 
 func (h *tagHeap) Swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].heapIdx = i
-	h.items[j].heapIdx = j
+	h.items[i].heapIdx = int32(i)
+	h.items[j].heapIdx = int32(j)
 }
 
 func (h *tagHeap) Push(x any) {
 	n := x.(*tagNode)
-	n.heapIdx = len(h.items)
+	n.heapIdx = int32(len(h.items))
 	h.items = append(h.items, n)
 }
 
@@ -123,7 +140,7 @@ func (h *tagHeap) Pop() any {
 }
 
 func (h *tagHeap) push(n *tagNode)   { heap.Push(h, n) }
-func (h *tagHeap) remove(n *tagNode) { heap.Remove(h, n.heapIdx) }
+func (h *tagHeap) remove(n *tagNode) { heap.Remove(h, int(n.heapIdx)) }
 func (h *tagHeap) popRoot() *tagNode { return heap.Pop(h).(*tagNode) }
 
 func (h *tagHeap) root() *tagNode {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"strconv"
 
 	"repro/internal/expr"
@@ -269,12 +270,13 @@ func (t *predTmpl) tags(keys []int64) []tag.Tag {
 
 // appendIdentity appends the entry identity for a key vector to buf. The
 // template canon contains $i placeholders, so distinct key vectors cannot
-// collide; appending the raw keys is both unambiguous and cheap.
+// collide; each key follows a '\x00' as a varint, which is self-delimiting,
+// so appending the raw keys is both unambiguous and cheap.
 func (t *predTmpl) appendIdentity(buf []byte, keys []int64) []byte {
 	buf = append(buf, t.canon...)
 	for _, k := range keys {
 		buf = append(buf, '\x00')
-		buf = strconv.AppendInt(buf, k, 36)
+		buf = binary.AppendVarint(buf, k)
 	}
 	return buf
 }

@@ -196,10 +196,16 @@ func TestTemplateIdentityDistinguishesKeys(t *testing.T) {
 	if p.tmpl == nil {
 		t.Fatal("no template")
 	}
-	a := string(p.tmpl.appendIdentity(nil, []int64{1}))
-	b := string(p.tmpl.appendIdentity(nil, []int64{-1}))
-	c := string(p.tmpl.appendIdentity(nil, []int64{1, 2}))
-	if a == b || a == c || b == c {
-		t.Errorf("identities collide: %q %q %q", a, b, c)
+	for _, keys := range [][2][]int64{
+		{{1}, {-1}},
+		{{1}, {1, 2}},
+		{{-1}, {1, 2}},
+		{{128}, {0, 1}},
+	} {
+		a := string(p.tmpl.appendIdentity(nil, keys[0]))
+		b := string(p.tmpl.appendIdentity(nil, keys[1]))
+		if a == b {
+			t.Errorf("identities of %v and %v collide: %q", keys[0], keys[1], a)
+		}
 	}
 }
