@@ -14,6 +14,8 @@ package autosynch_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,6 +24,7 @@ import (
 	"repro/internal/problems"
 	"repro/internal/stats"
 	"repro/internal/testutil"
+	"repro/internal/watchd"
 )
 
 // benchOps is the per-iteration operation budget. Small enough that -bench
@@ -504,8 +507,7 @@ func BenchmarkArmDeadlineCancel(b *testing.B) {
 // op arms a handle on a never-true predicate, whose entry is parked on
 // the inactive list, and cancels it, cycling through 128 keys. threshold
 // is a consumer's x >= k; producer is x + k <= c || stop, whose entry
-// holds a threshold and an equivalence tag. Only the handle and its
-// channel allocate:
+// holds a threshold and an equivalence tag. Only the handle allocates:
 //
 //	go test -run xxx -bench 'EntryReuse' -benchmem -cpu 1
 func BenchmarkEntryReuse(b *testing.B) {
@@ -535,6 +537,45 @@ func BenchmarkEntryReuse(b *testing.B) {
 				b.Fatalf("registrations/evictions = %d/%d, want %d/0", s.Registrations, s.Evictions, keys)
 			}
 		})
+	}
+}
+
+// BenchmarkSessionRenew prices watchd's delivery cycle: one op publishes
+// a key watched by five sessions, each of which renews in OnEvent, and
+// waits until the five renewals have returned. A renewal re-arms the
+// handle its delivery claimed, in place:
+//
+//	go test -run xxx -bench 'SessionRenew' -benchmem -cpu 1
+func BenchmarkSessionRenew(b *testing.B) {
+	const sessions, key = 5, 3
+	var renewed atomic.Int64
+	d := watchd.New(watchd.Config{
+		Keys: 16, Shards: 2, Dispatchers: 2,
+		OnEvent: func(ev watchd.Event) {
+			if err := ev.Session.Renew(); err != nil {
+				b.Error(err)
+			}
+			renewed.Add(1)
+		},
+	})
+	for range sessions {
+		if _, err := d.Register(key); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	var want int64
+	for b.Loop() {
+		if _, err := d.Publish(key); err != nil {
+			b.Fatal(err)
+		}
+		want += sessions
+		for renewed.Load() < want {
+			runtime.Gosched()
+		}
+	}
+	if err := d.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -179,13 +179,13 @@ func (m *Monitor) buildEntry(canon string, glob dnf.DNF, static bool) (*entry, e
 // funcEntry wraps a closure predicate from AwaitFunc or ArmFunc. The
 // closure may capture the calling goroutine's locals: they cannot change
 // while it waits (Proposition 1), so evaluation by other threads under the
-// monitor lock is sound. Closure predicates are opaque, so they always
-// carry the None tag and are scanned exhaustively.
+// monitor lock is sound. Closure predicates are opaque, so they carry no
+// tag analysis: the caller puts the entry on the None list, which is
+// scanned exhaustively, and it never reaches activate.
 func (m *Monitor) funcEntry(f func() bool) *entry {
 	return &entry{
 		canon:    "<func>",
 		evalFn:   f,
-		conjTags: []tag.Tag{{Kind: tag.None}},
 		noneIdx:  -1,
 		funcOnly: true,
 	}

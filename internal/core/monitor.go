@@ -436,10 +436,10 @@ func (m *Monitor) consumeSignal(w *Wait) {
 
 // rearmWaiter returns a still-registered waiter to the signalable pool.
 // Only a waiter that consumed a notification re-enters the unnotified
-// count and is re-armed (a handle gets a fresh ready channel, a blocking
-// waiter keeps its own) — an early Claim re-arms a waiter that was never
-// notified, whose registration count and channel still stand. Runs under
-// the monitor lock.
+// count and is re-armed (a handle drops its closed ready channel, a
+// blocking waiter keeps its own) — an early Claim re-arms a waiter that
+// was never notified, whose registration count and channel still stand.
+// Runs under the monitor lock.
 func (m *Monitor) rearmWaiter(w *Wait) {
 	if w.notified {
 		w.e.unnotified++
@@ -542,15 +542,20 @@ func (m *Monitor) ArmFunc(pred func() bool) *Wait {
 	e := m.funcEntry(pred)
 	e.noneIdx = len(m.cm.none)
 	m.cm.none = append(m.cm.none, e)
-	return m.armEntry(e, m.rankFor(e, nil))
+	return m.armEntry(newWait(m), e, m.rankFor(e, nil))
 }
 
-// armEntry registers a fresh handle on an entry, delivering an immediate
-// notification when the predicate already holds (the non-blocking analog
-// of the Await fast path — the claim re-validates anyway). Runs under the
-// monitor lock.
-func (m *Monitor) armEntry(e *entry, rank int64) *Wait {
-	w := newWait(m)
+// armEntry registers a reset handle, fresh or re-armed in place, on an
+// entry, delivering an immediate notification when the predicate already
+// holds (the non-blocking analog of the Await fast path — the claim
+// re-validates anyway). A nil entry is a globalization folded to constant
+// true: the handle is born ready, registered nowhere, and Claim always
+// succeeds. Runs under the monitor lock.
+func (m *Monitor) armEntry(w *Wait, e *entry, rank int64) *Wait {
+	if e == nil {
+		w.notify()
+		return w
+	}
 	w.e = e
 	w.rank = rank
 	m.cm.register(w)

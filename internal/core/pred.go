@@ -119,25 +119,62 @@ func (p *Predicate) Arm(binds ...Binding) *Wait {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.Arms++
-	if err := p.setBinds(binds); err != nil {
-		return failedWait(err)
-	}
-	e, err := m.entryFor(p)
+	e, rank, err := p.armTarget(binds)
 	if err != nil {
 		return failedWait(err)
 	}
+	return m.armEntry(newWait(m), e, rank)
+}
+
+// RearmClaimed re-arms the claimed handle w in place, with the steps of
+// p.Arm(binds...), and keeps its Select subscription: a daemon that
+// re-arms one handle per client after each claim allocates no handle,
+// and takes the monitor once where Arm, Err and Subscribe take it thrice.
+//
+// It returns false and changes nothing unless w is a claimed handle of
+// p's monitor that never armed a deadline (whose callback may be waiting
+// for the monitor, and would end the new cycle) and the bindings resolve
+// to an entry; the caller then arms a fresh handle with Arm, which
+// reports a binding or globalization error.
+//
+// The caller must own w: a claimed handle is spent, and no other holder
+// may use it once it is re-armed. Call it outside Enter/Exit.
+func RearmClaimed(p *Predicate, w *Wait, binds ...Binding) bool {
+	m := p.m
+	if w.host != waitHost(m) {
+		return false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if w.state != waitClaimed || w.deadlined {
+		return false
+	}
+	e, rank, err := p.armTarget(binds)
+	if err != nil {
+		return false
+	}
+	m.stats.Arms++
+	*w = Wait{host: w.host, idx: -1, selCh: w.selCh, selIdx: w.selIdx}
+	m.armEntry(w, e, rank)
+	return true
+}
+
+// armTarget binds the predicate and resolves the entry, with its policy
+// rank, that an arm registers on; a nil entry means the globalization
+// folded to constant true. Called under the monitor lock.
+func (p *Predicate) armTarget(binds []Binding) (*entry, int64, error) {
+	if err := p.setBinds(binds); err != nil {
+		return nil, 0, err
+	}
+	e, err := p.m.entryFor(p)
 	if e == nil {
-		// Globalization folded to constant true: the handle is born ready
-		// and Claim always succeeds.
-		w := newWait(m)
-		w.notify()
-		return w
+		return nil, 0, err
 	}
 	var rank int64
-	if e.policy != nil || m.pol != nil {
-		rank = m.rankFor(e, p.localsMap())
+	if e.policy != nil || p.m.pol != nil {
+		rank = p.m.rankFor(e, p.localsMap())
 	}
-	return m.armEntry(e, rank)
+	return e, rank, nil
 }
 
 // Try is the non-blocking degenerate case of Await: it binds and

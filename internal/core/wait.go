@@ -106,19 +106,22 @@ type Wait struct {
 	host waitHost
 
 	// All remaining fields are guarded by the host's monitor lock. A
-	// handle's ready channel is closed to notify and replaced on re-arm;
-	// a blocking waiter's (blocking set; never seen by a caller) has room
-	// for the one token a notification sends, and is kept for reuse.
-	ready    chan struct{}
-	blocking bool
-	state    waitState
-	notified bool  // the current arm cycle's notification is delivered
-	viaRelay bool  // the notification is an unconsumed signal: Monitor's relay or a Cond.Signal
-	err      error // terminal error (arm failure, ErrCancelled, ErrDeadline) or a parked wait's give-up mark
-	e        *entry
-	pred     func() bool // Baseline/Explicit re-validation closure
-	list     *waitList   // registration list for list-based hosts
-	idx      int         // position in e.waiters or list.ws
+	// handle's ready channel is made by the first Ready of an arm cycle,
+	// closed to notify, and dropped on re-arm, so a handle that is only
+	// subscribed never makes one; a blocking waiter's (blocking set;
+	// never seen by a caller) has room for the one token a notification
+	// sends, and is kept for reuse.
+	ready     chan struct{}
+	blocking  bool
+	state     waitState
+	notified  bool  // the current arm cycle's notification is delivered
+	viaRelay  bool  // the notification is an unconsumed signal: Monitor's relay or a Cond.Signal
+	deadlined bool  // a deadline was armed; sticky, so RearmClaimed refuses the handle
+	err       error // terminal error (arm failure, ErrCancelled, ErrDeadline) or a parked wait's give-up mark
+	e         *entry
+	pred      func() bool // Baseline/Explicit re-validation closure
+	list      *waitList   // registration list for list-based hosts
+	idx       int         // position in e.waiters or list.ws
 
 	// Wake-policy and give-up state. seq is the host-global arrival
 	// sequence and rank the registration-time policy rank — together the
@@ -143,10 +146,10 @@ type Wait struct {
 	selIdx int
 }
 
-// newWait constructs an armed handle for a host; registration is the
-// host's job.
+// newWait constructs an armed handle for a host, without a ready
+// channel: Ready makes one on demand. Registration is the host's job.
 func newWait(h waitHost) *Wait {
-	return &Wait{host: h, ready: make(chan struct{}), idx: -1}
+	return &Wait{host: h, idx: -1}
 }
 
 // failedWait is a handle whose arming failed: Ready is already closed,
@@ -159,9 +162,9 @@ func failedWait(err error) *Wait {
 }
 
 // notify delivers the current arm cycle's notification: it closes a
-// handle's ready channel, or sends a blocking waiter its one token (the
-// notified flag allows one per cycle). Idempotent; runs under the host
-// lock.
+// handle's ready channel if Ready has made one (a later Ready returns it
+// closed), or sends a blocking waiter its one token (the notified flag
+// allows one per cycle). Idempotent; runs under the host lock.
 func (w *Wait) notify() {
 	if w.notified {
 		return
@@ -169,7 +172,7 @@ func (w *Wait) notify() {
 	w.notified = true
 	if w.blocking {
 		w.ready <- struct{}{}
-	} else {
+	} else if w.ready != nil {
 		close(w.ready)
 	}
 	if w.selCh != nil {
@@ -186,11 +189,12 @@ func (w *Wait) notify() {
 }
 
 // rearm resets the waiter for another notification cycle: cleared
-// delivery flags and, for a handle, a fresh channel (a blocking waiter's
-// goroutine has received its token). A handle never notified keeps its
-// channel, still open, so a goroutine already receiving from it is woken
-// by the next notification. Runs under the host lock; the caller settles
-// any in-flight-signal accounting first.
+// delivery flags and, for a handle, no channel (the next Ready makes a
+// fresh one; a blocking waiter's goroutine has received its token and
+// keeps its channel). A handle never notified keeps its channel, still
+// open, so a goroutine already receiving from it is woken by the next
+// notification. Runs under the host lock; the caller settles any
+// in-flight-signal accounting first.
 func (w *Wait) rearm() {
 	if !w.notified {
 		return
@@ -198,7 +202,7 @@ func (w *Wait) rearm() {
 	w.notified = false
 	w.viaRelay = false
 	if !w.blocking {
-		w.ready = make(chan struct{})
+		w.ready = nil
 	}
 }
 
@@ -254,11 +258,21 @@ func (w *Wait) Subscribe(ch chan int, idx int) { w.subscribe(ch, idx) }
 // fresh channel, so a select loop must call Ready again on each iteration
 // rather than caching the first channel. A futile Claim before any
 // notification keeps the open channel.
+//
+// The channel is made by the first Ready of an arm cycle, closed at once
+// if the cycle is already notified, so a handle that is only subscribed
+// (Subscribe, Select) allocates none.
 func (w *Wait) Ready() <-chan struct{} {
 	if w.host == nil {
 		return w.ready
 	}
 	w.host.lockWait()
+	if w.ready == nil {
+		w.ready = make(chan struct{})
+		if w.notified {
+			close(w.ready)
+		}
+	}
 	ch := w.ready
 	w.host.unlockWait()
 	return ch
@@ -306,7 +320,9 @@ func (w *Wait) Claim() error {
 // deadline replaces the first. Deadline returns its receiver so it chains
 // off Arm: p.Arm(binds...).Deadline(t). The expiry is a runtime timer
 // (time.AfterFunc): a pending deadline holds no goroutine, and the
-// expiry never fires before t.
+// expiry never fires before t. A handle that armed a deadline is never
+// re-armed in place (RearmClaimed): its timer's callback may already be
+// waiting for the monitor when a claim stops the timer.
 func (w *Wait) Deadline(t time.Time) *Wait {
 	if w.host == nil {
 		return w
@@ -315,6 +331,7 @@ func (w *Wait) Deadline(t time.Time) *Wait {
 	if w.state == waitArmed {
 		w.disarm() // a second deadline replaces the first
 		w.timer = time.AfterFunc(time.Until(t), func() { w.end(ErrDeadline) })
+		w.deadlined = true
 	}
 	w.host.unlockWait()
 	return w

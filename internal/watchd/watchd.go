@@ -11,14 +11,17 @@
 //
 // Every session is one armed *core.Wait handle on a compiled per-key
 // threshold predicate ("v<k> >= want") living on the key's owner shard —
-// no goroutine is parked per session. Handles are multiplexed onto a
-// small set of dispatcher goroutines with Wait.Subscribe: each dispatcher
-// owns one buffered delivery channel, receives the session ids of fired
-// handles, claims Mesa-style (re-validating under the shard lock), reads
-// the key's version, and hands the event to the client (callback or
-// per-session channel). The wake-to-claim interval — notification
-// received to claim completed — is recorded into a per-dispatcher
-// histogram and merged on Stats.
+// no goroutine is parked per session. The session keeps that one handle
+// for its whole life: each Renew re-arms the handle its last delivery
+// claimed in place (core.RearmClaimed), with its subscription, so a
+// renewal allocates no handle. Handles are multiplexed onto a small set
+// of dispatcher goroutines with Wait.Subscribe: each dispatcher owns one
+// buffered delivery channel, receives the session ids of fired handles,
+// claims Mesa-style (re-validating under the shard lock), reads the key's
+// version, and hands the event to the client (callback or per-session
+// channel). The wake-to-claim interval — notification received to claim
+// completed — is recorded into a per-dispatcher histogram and merged on
+// Stats.
 //
 // # Admission control and eviction
 //
@@ -182,9 +185,14 @@ type Session struct {
 	pendingCancel bool  // cancel requested while claiming; finalize completes it
 	cancelCause   error
 	events        chan Event
-	lruEl         *lruElem
-	lruEpoch      uint64
-	lastTouch     time.Time // guarded by d.lruMu; stamped on push/touch
+
+	// Guarded by d.lruMu. lruEl points at lru while the session is listed
+	// and is nil otherwise; lastTouch is stamped on every touch when an
+	// IdleExpiry janitor reads it.
+	lru       lruElem
+	lruEl     *lruElem
+	lruEpoch  uint64
+	lastTouch time.Time
 }
 
 // Key returns the watched key.
@@ -266,10 +274,17 @@ type dispatcher struct {
 	hist     stats.Histogram
 }
 
-// arm arms (or re-arms) the session's handle and subscribes it to the
-// dispatcher channel. Caller holds dp.mu.
+// arm arms the session's handle for s.want, subscribed to the dispatcher
+// channel. A renewal re-arms the handle its delivery claimed in place,
+// which keeps the subscription and takes the shard lock once; a
+// registration, or a handle the monitor refuses to re-arm, gets a fresh
+// handle. Caller holds dp.mu.
 func (dp *dispatcher) arm(s *Session) {
-	s.w = dp.d.preds[s.key].Arm(core.BindInt("want", s.want))
+	p, want := dp.d.preds[s.key], core.BindInt("want", s.want)
+	if s.w != nil && core.RearmClaimed(p, s.w, want) {
+		return
+	}
+	s.w = p.Arm(want)
 	if err := s.w.Err(); err != nil {
 		// The per-key predicates are statically well-formed; an arming
 		// error is a programming bug, not an input condition.
@@ -637,7 +652,7 @@ func (d *Daemon) Register(key uint64) (*Session, error) {
 	dp.live++
 	dp.arm(s)
 	d.armed.Add(1)
-	d.lruPush(s)
+	d.lruTouch(s)
 	dp.mu.Unlock()
 
 	d.registered.Add(1)
@@ -841,30 +856,22 @@ func (l *lruList) popOldest() (*Session, uint64) {
 	return s, s.lruEpoch
 }
 
-// lruPush inserts an armed session at the recent end. Caller holds the
-// session's dispatcher lock.
-func (d *Daemon) lruPush(s *Session) {
-	d.lruMu.Lock()
-	if s.lruEl == nil {
-		s.lruEl = &lruElem{s: s}
-	}
-	s.lruEpoch++
-	s.lastTouch = time.Now()
-	d.lru.pushFront(s.lruEl)
-	d.lruMu.Unlock()
-}
-
-// lruTouch moves a session to the recent end (re-inserting it if an
-// evictor popped it concurrently). Caller holds the dispatcher lock.
+// lruTouch moves an armed session to the recent end, listing its own
+// element if it is not listed: a new session, or one an evictor popped
+// concurrently. Only an IdleExpiry janitor reads the touch time, so the
+// clock is read only then. Caller holds the dispatcher lock.
 func (d *Daemon) lruTouch(s *Session) {
 	d.lruMu.Lock()
 	if s.lruEl != nil {
 		d.lru.remove(s.lruEl)
 	} else {
-		s.lruEl = &lruElem{s: s}
+		s.lru.s = s
+		s.lruEl = &s.lru
 	}
 	s.lruEpoch++
-	s.lastTouch = time.Now()
+	if d.cfg.IdleExpiry > 0 {
+		s.lastTouch = time.Now()
+	}
 	d.lru.pushFront(s.lruEl)
 	d.lruMu.Unlock()
 }

@@ -97,6 +97,56 @@ func TestRegisterPublishDeliver(t *testing.T) {
 	}
 }
 
+// TestRenewKeepsHandle: a session keeps one armed handle for its life.
+// Across publish, delivery and renewal cycles each session's handle stays
+// the same pointer, every delivery arrives with the published version,
+// and Close drains with no waiter left.
+func TestRenewKeepsHandle(t *testing.T) {
+	const sessions, cycles = 4, 5
+	d := New(smallConfig())
+	defer testutil.NoLeaks(t, d)()
+	handle := func(s *Session) *core.Wait {
+		s.dp.mu.Lock()
+		defer s.dp.mu.Unlock()
+		return s.w
+	}
+	var ss []*Session
+	var ws []*core.Wait
+	for range sessions {
+		s, err := d.Register(5)
+		if err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+		ss = append(ss, s)
+		ws = append(ws, handle(s))
+	}
+	for c := 1; c <= cycles; c++ {
+		v, err := d.Publish(5)
+		if err != nil {
+			t.Fatalf("Publish: %v", err)
+		}
+		for i, s := range ss {
+			if ev := recvEvent(t, s); ev.Version != v {
+				t.Fatalf("cycle %d: session %d got version %d, want %d", c, i, ev.Version, v)
+			}
+			if err := s.Renew(); err != nil {
+				t.Fatalf("Renew: %v", err)
+			}
+			if w := handle(s); w != ws[i] {
+				t.Fatalf("cycle %d: session %d renewed onto another handle", c, i)
+			}
+		}
+		if got := d.Waiting(); got != sessions {
+			t.Fatalf("cycle %d: Waiting() = %d after the renewals, want %d", c, got, sessions)
+		}
+	}
+	st := d.Stats()
+	if st.Delivered != sessions*cycles || st.Renewed != sessions*cycles || st.Coalesced != 0 {
+		t.Fatalf("stats = %v, want %d deliveries and renewals, none coalesced", st, sessions*cycles)
+	}
+	mustClose(t, d)
+}
+
 // TestPublishWakesOnlyReachedThresholds: sessions watching different keys
 // are independent, and a key's publish wakes exactly its watchers.
 func TestPublishWakesOnlyReachedThresholds(t *testing.T) {
