@@ -20,6 +20,7 @@ import (
 	"time"
 
 	autosynch "repro"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/problems"
 	"repro/internal/stats"
@@ -507,14 +508,22 @@ func BenchmarkArmDeadlineCancel(b *testing.B) {
 // op arms a handle on a never-true predicate, whose entry is parked on
 // the inactive list, and cancels it, cycling through 128 keys. threshold
 // is a consumer's x >= k; producer is x + k <= c || stop, whose entry
-// holds a threshold and an equivalence tag. Only the handle allocates:
+// holds a threshold and an equivalence tag. Only the handle allocates.
+// fresh prices the build that reuse avoids: x >= k on a new key every op,
+// once the inactive ring is full, so each op builds an entry in the
+// storage of the one its park evicted, and allocates the handle, the
+// identity string and the tag analysis:
 //
 //	go test -run xxx -bench 'EntryReuse' -benchmem -cpu 1
 func BenchmarkEntryReuse(b *testing.B) {
-	const keys = 128
-	for _, c := range []struct{ name, pred string }{
-		{"threshold", "x >= k"},
-		{"producer", "x + k <= c || stop"},
+	for _, c := range []struct {
+		name, pred string
+		keys       int // keys armed before the loop; the loop cycles through them, or goes on past them
+		fresh      bool
+	}{
+		{"threshold", "x >= k", 128, false},
+		{"producer", "x + k <= c || stop", 128, false},
+		{"fresh", "x >= k", core.DefaultInactiveLimit, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			m := autosynch.New()
@@ -522,7 +531,7 @@ func BenchmarkEntryReuse(b *testing.B) {
 			m.NewInt("c", 0)
 			m.NewBool("stop", false)
 			p := m.MustCompile(c.pred)
-			binds := make([]autosynch.Binding, keys)
+			binds := make([]autosynch.Binding, c.keys)
 			for i := range binds {
 				binds[i] = autosynch.Bind("k", int64(i+1))
 				p.Arm(binds[i]).Cancel()
@@ -530,11 +539,19 @@ func BenchmarkEntryReuse(b *testing.B) {
 			b.ReportAllocs()
 			i := 0
 			for b.Loop() {
-				p.Arm(binds[i%keys]).Cancel()
+				if c.fresh {
+					p.Arm(autosynch.Bind("k", int64(c.keys+i+1))).Cancel()
+				} else {
+					p.Arm(binds[i%c.keys]).Cancel()
+				}
 				i++
 			}
-			if s := m.Stats(); s.Registrations != keys || s.Evictions != 0 {
-				b.Fatalf("registrations/evictions = %d/%d, want %d/0", s.Registrations, s.Evictions, keys)
+			s := m.Stats()
+			switch {
+			case !c.fresh && (s.Registrations != uint64(c.keys) || s.Evictions != 0):
+				b.Fatalf("registrations/evictions = %d/%d, want %d/0", s.Registrations, s.Evictions, c.keys)
+			case c.fresh && (s.Registrations != uint64(c.keys+i) || s.Evictions != uint64(i) || s.Reuses != 0):
+				b.Fatalf("registrations/evictions/reuses = %d/%d/%d, want %d/%d/0", s.Registrations, s.Evictions, s.Reuses, c.keys+i, i)
 			}
 		})
 	}

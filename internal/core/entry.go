@@ -17,23 +17,24 @@ import (
 // signaling delivers a notification on a waiter's channel rather than
 // unparking a particular goroutine.
 type entry struct {
-	canon    string // canonical globalized DNF string; identity key
-	static   bool   // shared predicate: registered once, never evicted
-	active   bool   // in the tag structures; a cached entry that is not is parked
-	funcOnly bool   // one-shot AwaitFunc/ArmFunc entry; never cached
+	canon string // canonical globalized DNF string; identity key
 
-	waiters    []*Wait // registered waiters, parked and armed alike
-	unnotified int     // waiters with no notification in flight
+	waiters []*Wait // registered waiters, parked and armed alike
 
-	evalFn   func() bool   // whole-predicate evaluation against the cells
-	conjTags []tag.Tag     // tag analysis per conjunction; retain consumes it into nodes
-	outside  *outsideReads // cells read outside the tags; nil for most entries
+	evalFn  func() bool   // whole-predicate evaluation against the cells
+	outside *outsideReads // cells read outside the tags; nil for most entries
 
 	// nodes is conjunction-aligned: nodes[i] is conjunction i's tag node,
 	// nil for a None tag and for every conjunction when tagging is off.
 	// The entry holds its nodes while it is cached, active or parked.
-	nodes   []*tagNode
-	noneIdx int // index in the None scan list, -1 when absent
+	nodes []*tagNode
+
+	// tmpl is the template a template entry was built from, and keys the
+	// vector its evaluator reads: the template keys, or the bindings of a
+	// generated evaluator. A fresh entry of the same template built in a
+	// released entry's storage overwrites keys and keeps the evaluator.
+	tmpl *predTmpl
+	keys []int64
 
 	// prev and next link a parked entry into the inactive LRU ring
 	// (condManager.lru); both are nil while the entry is active.
@@ -43,6 +44,13 @@ type entry struct {
 	// UsePolicy): it refines which of THIS entry's waiters a signal
 	// picks, taking precedence over the monitor policy within the entry.
 	policy policy.Policy
+
+	unnotified int32 // waiters with no notification in flight
+	noneIdx    int32 // index in the None scan list, -1 when absent
+
+	static   bool // shared predicate: registered once, never evicted
+	active   bool // in the tag structures; a cached entry that is not is parked
+	funcOnly bool // one-shot AwaitFunc/ArmFunc entry; never cached
 }
 
 // outsideReads lists, per conjunction, the cells a tagged conjunction
@@ -129,14 +137,10 @@ func (e *entry) pickUnnotified(pol policy.Policy) *Wait {
 	return best
 }
 
-// buildEntry compiles the globalized predicate and analyzes its tags.
-// Called under the monitor lock.
-func (m *Monitor) buildEntry(canon string, glob dnf.DNF, static bool) (*entry, error) {
-	e := &entry{
-		canon:   canon,
-		static:  static,
-		noneIdx: -1,
-	}
+// buildEntry compiles the globalized predicate and analyzes its tags,
+// which it returns for retain, in the storage of the last released
+// entry when there is one. Called under the monitor lock.
+func (m *Monitor) buildEntry(canon string, glob dnf.DNF, static bool) (*entry, []tag.Tag, error) {
 	conjFns := make([]expr.BoolFn, len(glob.Conjs))
 	resolver := func(name string) (expr.Getter, expr.Type, bool) {
 		s, ok := m.vars[name]
@@ -148,10 +152,27 @@ func (m *Monitor) buildEntry(canon string, glob dnf.DNF, static bool) (*entry, e
 	for i, c := range glob.Conjs {
 		fn, err := expr.CompileBool(expr.And(c.Atoms...), resolver)
 		if err != nil {
-			return nil, predErrf(canon, "compile conjunction %q: %v", c.String(), err)
+			return nil, nil, predErrf(canon, "compile conjunction %q: %v", c.String(), err)
 		}
 		conjFns[i] = fn
 	}
+	tags := tag.Analyze(glob)
+	outside := make([][]*cellWatch, len(glob.Conjs))
+	for i, c := range glob.Conjs {
+		if tags[i].Kind == tag.None {
+			continue
+		}
+		var names []string
+		for _, a := range c.Atoms {
+			names = append(names, expr.Vars(a)...)
+		}
+		outside[i] = m.cellsOutside(tags[i].Form, names)
+	}
+	e := m.cm.recycled()
+	e.canon = canon
+	e.static = static
+	e.outside = newOutsideReads(outside)
+	e.tmpl = nil
 	e.evalFn = func() bool {
 		for _, fn := range conjFns {
 			if fn() {
@@ -160,20 +181,7 @@ func (m *Monitor) buildEntry(canon string, glob dnf.DNF, static bool) (*entry, e
 		}
 		return false
 	}
-	e.conjTags = tag.Analyze(glob)
-	outside := make([][]*cellWatch, len(glob.Conjs))
-	for i, c := range glob.Conjs {
-		if e.conjTags[i].Kind == tag.None {
-			continue
-		}
-		var names []string
-		for _, a := range c.Atoms {
-			names = append(names, expr.Vars(a)...)
-		}
-		outside[i] = m.cellsOutside(e.conjTags[i].Form, names)
-	}
-	e.outside = newOutsideReads(outside)
-	return e, nil
+	return e, tags, nil
 }
 
 // funcEntry wraps a closure predicate from AwaitFunc or ArmFunc. The

@@ -34,6 +34,9 @@ func TestFuzzMixedPredicateShapes(t *testing.T) {
 		{"tagging=true", nil},
 		{"tagging=false", []Option{WithoutTagging()}},
 		{"policy=fifo", []Option{WithPolicy(policy.FIFO)}},
+		// Every retired entry is discarded, and the next fresh entry of
+		// any shape is built in its storage.
+		{"inactive=0", []Option{WithInactiveLimit(0)}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()

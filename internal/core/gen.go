@@ -217,25 +217,16 @@ func (m *Monitor) bindGenerated(p *Predicate) {
 }
 
 // genEntryEval builds a whole-entry evaluator from the generated
-// predicate with the current bindings frozen, the generated analog of
-// predTmpl.makeEval / buildEntry. Sound on both registration paths: an
-// entry's identity already pins the predicate truth function (template
-// atoms depend on locals only through the frozen keys; the Subst path
-// keys the entry by the globalized DNF itself), so evaluating the
-// original predicate under the frozen bindings is exactly the globalized
-// predicate. Called under the monitor lock; returns nil when the
-// predicate has no generated evaluator bound.
-func (p *Predicate) genEntryEval() func() bool {
-	g := p.gen
-	if g == nil {
-		return nil
-	}
-	cells := p.genCells
-	eval := g.Eval
-	var frozen []int64
-	if len(p.localVals) > 0 {
-		frozen = append([]int64(nil), p.localVals...)
-	}
+// predicate over frozen, a copy of the bindings the entry was resolved
+// with: the generated analog of predTmpl.makeEval / buildEntry. Sound on
+// both registration paths: an entry's identity already pins the
+// predicate truth function (template atoms depend on locals only through
+// the frozen keys; the Subst path keys the entry by the globalized DNF
+// itself), so evaluating the original predicate under the frozen
+// bindings is exactly the globalized predicate. Called under the monitor
+// lock, for a predicate with a generated evaluator bound.
+func (p *Predicate) genEntryEval(frozen []int64) func() bool {
+	cells, eval := p.genCells, p.gen.Eval
 	return func() bool { return eval(cells, frozen) }
 }
 

@@ -121,10 +121,15 @@ func TestWaitReadyLazy(t *testing.T) {
 // only Ready makes its channel. A closure handle adds its entry and the
 // entry's waiter slice. A cycle that re-arms a claimed handle in place,
 // on cached entries, is woken through its subscription and claims
-// allocates nothing.
+// allocates nothing; onto a fresh key every time, whose entry is built
+// in the storage of the entry released last, it allocates the identity
+// string and the tag analysis, at every inactive limit.
 func TestHandleAllocs(t *testing.T) {
 	if s := unsafe.Sizeof(Wait{}); s > 144 {
 		t.Errorf("Wait is %d bytes, past the 144-byte size class", s)
+	}
+	if s := unsafe.Sizeof(entry{}); s > 160 {
+		t.Errorf("entry is %d bytes, past the 160-byte size class", s)
 	}
 	const keys = 16
 	m := New()
@@ -191,6 +196,74 @@ func TestHandleAllocs(t *testing.T) {
 		t.Errorf("the measured cycles registered %d entries, want 0", got-regs)
 	}
 	w.Cancel()
+	<-ch
+	checkRelayState(t, m)
+
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{
+		{"inactive=0", []Option{WithInactiveLimit(0)}},
+		{"inactive=1", []Option{WithInactiveLimit(1)}},
+		{"default", nil},
+	} {
+		t.Run("fresh key "+c.name, func(t *testing.T) {
+			freshKeyCycleAllocs(t, New(c.opts...))
+		})
+	}
+}
+
+// freshKeyCycleAllocs pins the claim → RearmClaimed cycle onto a fresh
+// key every time: each re-arm misses the cache and builds an entry, and
+// each claim retires the entry it leaves, which is discarded, or parked
+// and, once the inactive ring is full, evicts the oldest. A second armed
+// handle keeps the group named, so no cycle rebuilds it. The build reuses
+// the released entry's storage, so a cycle allocates at most 3 objects:
+// the identity string, the tag analysis, and slack for the entry map's
+// own upkeep.
+func freshKeyCycleAllocs(t *testing.T, m *Monitor) {
+	defer testutil.NoLeaks(t, m)()
+	x := m.NewInt("x", 0)
+	p := m.MustCompile("x >= k")
+	keep := p.Arm(BindInt("k", 1<<62))
+	ch := make(chan int, 1)
+	bind := []Binding{BindInt("k", 1)}
+	w := p.Arm(bind...)
+	w.Subscribe(ch, 7)
+	k := int64(1)
+	cycle := func() {
+		m.Do(func() { x.Set(k) })
+		delivered(t, ch, "fresh-key handle")
+		if err := w.Claim(); err != nil {
+			t.Fatalf("Claim = %v", err)
+		}
+		m.Exit()
+		k++
+		bind[0] = BindInt("k", k)
+		if !RearmClaimed(p, w, bind...) {
+			t.Fatal("RearmClaimed refused a claimed handle")
+		}
+	}
+	for range DefaultInactiveLimit + 16 {
+		cycle()
+	}
+	before := m.Stats()
+	if a := testing.AllocsPerRun(100, cycle); a > 3 {
+		t.Errorf("a claim and re-arm cycle onto a fresh key allocates %v times, want at most 3", a)
+	}
+	after := m.Stats()
+	if regs := after.Registrations - before.Registrations; regs != 101 {
+		t.Errorf("the measured cycles registered %d entries, want 101", regs)
+	}
+	if after.Reuses != before.Reuses {
+		t.Errorf("the measured cycles reused %d parked entries, want 0", after.Reuses-before.Reuses)
+	}
+	if m.cfg.inactiveLimit > 0 && after.Evictions-before.Evictions != 101 {
+		t.Errorf("the measured cycles evicted %d entries, want 101", after.Evictions-before.Evictions)
+	}
+	checkRelayState(t, m)
+	w.Cancel()
+	keep.Cancel()
 	<-ch
 	checkRelayState(t, m)
 }

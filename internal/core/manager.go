@@ -12,10 +12,13 @@ import (
 // inactive list of one monitor (§5.2, Fig. 7). One map caches every
 // entry, active or parked on the inactive list. A cached entry keeps its
 // tag nodes and their groups, so a reuse only re-enters the nodes it
-// names. Its relay search is write-driven: a cell write puts the cell on
-// dirty, and findTrue visits only the groups with waiters that read a
-// written cell, plus the candidates an earlier search left unfinished.
-// Every method runs under the monitor lock.
+// names. The entry released last, evicted or discarded, is kept, and the
+// next fresh entry is built in its storage (recycled), so a workload
+// whose identities never repeat still allocates no entry, tag node or
+// array per build. Its relay search is write-driven: a cell write puts
+// the cell on dirty, and findTrue visits only the groups with waiters
+// that read a written cell, plus the candidates an earlier search left
+// unfinished. Every method runs under the monitor lock.
 type condManager struct {
 	m *Monitor
 
@@ -23,6 +26,13 @@ type condManager struct {
 	lru     entry             // inactive ring sentinel: next is the newest parked entry, prev the oldest
 	parked  int               // entries on the inactive ring
 	id      []byte            // template identity scratch, looked up without a string
+
+	// kept is the entry release dropped last, nil once a build took it:
+	// uncached, with no waiters, holding only the tag nodes no cached
+	// entry names. free holds those nodes while a build in its storage
+	// retains its own, and is empty between builds.
+	kept *entry
+	free []*tagNode
 
 	// groups indexes the tag structures by canonical shared expression. A
 	// group, like each of its tag nodes, stays while a cached entry,
@@ -64,44 +74,80 @@ func newCondManager(m *Monitor) *condManager {
 // holds its tag nodes and their groups, whose compiled evaluators it kept
 // alive, and the lookup does not copy id, so a reuse compiles and
 // allocates nothing. On a miss, build constructs the entry under id as a
-// string.
-func getEntry[ID string | []byte](cm *condManager, id ID, build func(canon string) (*entry, error)) (*entry, error) {
+// string, in the kept entry's storage when there is one (recycled), and
+// returns its tag analysis, from which activate gives the entry its
+// nodes.
+func getEntry[ID string | []byte](cm *condManager, id ID, build func(canon string) (*entry, []tag.Tag, error)) (*entry, error) {
 	if e, ok := cm.entries[string(id)]; ok {
 		if !e.active {
 			cm.unpark(e)
 			cm.m.stats.Reuses++
-			cm.activate(e)
+			cm.activate(e, nil)
 		}
 		return e, nil
 	}
-	e, err := build(string(id))
+	e, tags, err := build(string(id))
 	if err != nil {
 		return nil, err
 	}
 	cm.entries[e.canon] = e
 	cm.m.stats.Registrations++
-	cm.activate(e)
+	cm.activate(e, tags)
 	return e, nil
+}
+
+// recycled returns the storage for a fresh entry: the kept entry, reset
+// but for its waiters and nodes arrays, its key vector and the evaluator
+// its template built over them, or a new entry. The kept entry's tag
+// nodes move to cm.free for retain. Called by a build once nothing can
+// fail.
+func (cm *condManager) recycled() *entry {
+	e := cm.kept
+	if e == nil {
+		return &entry{noneIdx: -1}
+	}
+	cm.kept = nil
+	for _, n := range e.nodes {
+		if n != nil {
+			cm.free = append(cm.free, n)
+		}
+	}
+	clear(e.nodes)
+	*e = entry{
+		waiters: e.waiters[:0],
+		nodes:   e.nodes[:0],
+		tmpl:    e.tmpl,
+		keys:    e.keys,
+		evalFn:  e.evalFn,
+		noneIdx: -1,
+	}
+	return e
+}
+
+// addNone puts an entry on the None list, which the relay search scans
+// exhaustively.
+func (cm *condManager) addNone(e *entry) {
+	e.noneIdx = int32(len(cm.none))
+	cm.none = append(cm.none, e)
 }
 
 // activate enters a cached entry into its tag nodes, once into each
 // distinct node, and pushes a threshold node that had no active entry
 // back into its heap; an entry with a conjunction that has no node (a
-// None tag, or tagging disabled) joins the None list. A fresh entry,
-// whose tag analysis is not yet consumed, first takes its nodes
-// (retain); a parked one still holds them. A recorded KTag is the span
-// of the update.
-func (cm *condManager) activate(e *entry) {
+// None tag, or tagging disabled) joins the None list. A fresh entry
+// first takes its nodes from its tag analysis tags (retain); a parked
+// one, given none, still holds them. A recorded KTag is the span of the
+// update.
+func (cm *condManager) activate(e *entry, tags []tag.Tag) {
 	start := cm.m.spanStart()
-	if e.conjTags != nil {
-		cm.retain(e)
+	if tags != nil {
+		cm.retain(e, tags)
 	}
 	e.active = true
 	for i, n := range e.nodes {
 		if n == nil {
 			if e.noneIdx < 0 {
-				e.noneIdx = len(cm.none)
-				cm.none = append(cm.none, e)
+				cm.addNone(e)
 			}
 			continue
 		}
@@ -118,7 +164,7 @@ func (cm *condManager) activate(e *entry) {
 	}
 }
 
-// retain gives a fresh entry its tag nodes, consuming its tag analysis:
+// retain gives a fresh entry its tag nodes from its tag analysis tags:
 // for each tagged conjunction it takes a reference on the conjunction's
 // group, creating the group, with its compiled evaluator, on first use,
 // and on the conjunction's node (nodeFor). It links each cell a tagged
@@ -126,11 +172,12 @@ func (cm *condManager) activate(e *entry) {
 // when it is created, the cells read outside the tag for each entry. A
 // tag whose shared expression does not compile (an undeclared variable in
 // a hand-built DNF) gets no node, as a None tag does, so the entry is
-// searched exhaustively for as long as it is cached.
-func (cm *condManager) retain(e *entry) {
-	e.nodes = make([]*tagNode, len(e.conjTags))
-	for i := range e.conjTags {
-		tg := &e.conjTags[i]
+// searched exhaustively for as long as it is cached. Recycled nodes left
+// in cm.free are dropped.
+func (cm *condManager) retain(e *entry, tags []tag.Tag) {
+	e.nodes = append(e.nodes[:0], make([]*tagNode, len(tags))...)
+	for i := range tags {
+		tg := &tags[i]
 		if !cm.m.cfg.tagging || tg.Kind == tag.None {
 			continue
 		}
@@ -162,15 +209,19 @@ func (cm *condManager) retain(e *entry) {
 		n.refs++
 		e.nodes[i] = n
 	}
-	e.conjTags = nil
+	clear(cm.free)
+	cm.free = cm.free[:0]
 }
 
 // release drops an entry that leaves the cache, evicted or discarded,
-// with its node and group references and its reader links. A node no
-// cached entry names any more has no active entry, so it is in no heap;
-// an equivalence node then leaves its group's table. A group no cached
-// entry names any more is dropped with its compiled evaluator, its own
-// cells' links and its place among the candidates.
+// with its node and group references and its reader links, and keeps it
+// for the next fresh entry (recycled) in place of the one kept before. A
+// node no cached entry names any more has no active entry, so it is in
+// no heap; an equivalence node then leaves its group's table, and the
+// kept entry holds the node for reuse, once. A node still named elsewhere
+// leaves the kept entry's nodes. A group no cached entry names any more
+// is dropped with its compiled evaluator, its own cells' links and its
+// place among the candidates.
 func (cm *condManager) release(e *entry) {
 	delete(cm.entries, e.canon)
 	for i, n := range e.nodes {
@@ -178,7 +229,9 @@ func (cm *condManager) release(e *entry) {
 			continue
 		}
 		g := n.group
-		if n.refs--; n.refs == 0 && n.kind == tag.Equivalence {
+		if n.refs--; n.refs > 0 {
+			e.nodes[i] = nil
+		} else if n.kind == tag.Equivalence {
 			delete(g.equiv, n.key)
 		}
 		for _, c := range e.outsideOf(i) {
@@ -197,6 +250,7 @@ func (cm *condManager) release(e *entry) {
 		}
 		delete(cm.groups, g.exprStr)
 	}
+	cm.kept = e
 }
 
 // nodeFor finds or creates the tag node for tg in its group g, for a
@@ -210,7 +264,7 @@ func (cm *condManager) nodeFor(g *sharedGroup, tg *tag.Tag, taken []*tagNode) *t
 	if tg.Kind == tag.Equivalence {
 		n, ok := g.equiv[tg.Key]
 		if !ok {
-			n = &tagNode{group: g, kind: tg.Kind, key: tg.Key, op: tg.Op, heapIdx: -1}
+			n = cm.newNode(g, tg)
 			g.equiv[tg.Key] = n
 		}
 		return n
@@ -222,7 +276,21 @@ func (cm *condManager) nodeFor(g *sharedGroup, tg *tag.Tag, taken []*tagNode) *t
 			}
 		}
 	}
-	return &tagNode{group: g, kind: tg.Kind, key: tg.Key, op: tg.Op, heapIdx: -1}
+	return cm.newNode(g, tg)
+}
+
+// newNode makes the tag node for tg in g, reusing a node of the kept
+// entry, with its entries array, when recycled left one in cm.free.
+func (cm *condManager) newNode(g *sharedGroup, tg *tag.Tag) *tagNode {
+	last := len(cm.free) - 1
+	if last < 0 {
+		return &tagNode{group: g, kind: tg.Kind, key: tg.Key, op: tg.Op, heapIdx: -1}
+	}
+	n := cm.free[last]
+	cm.free[last] = nil
+	cm.free = cm.free[:last]
+	*n = tagNode{group: g, kind: tg.Kind, key: tg.Key, op: tg.Op, heapIdx: -1, entries: n.entries[:0]}
+	return n
 }
 
 // heapFor selects the heap for a threshold operator: {>, ≥} tags live in
@@ -241,7 +309,8 @@ func (g *sharedGroup) heapFor(op expr.Op) *tagHeap {
 // for reuse, still cached and holding its nodes and groups, so their
 // compiled evaluators stay alive, or discarded under WithInactiveLimit(0).
 // Past the limit the oldest parked entries are evicted, which releases
-// their nodes and groups. A recorded KTag is the span of the update.
+// their nodes and groups. Either way the entry released last is kept for
+// the next fresh build. A recorded KTag is the span of the update.
 func (cm *condManager) deactivate(e *entry) {
 	if e.static || !e.active {
 		return
@@ -384,11 +453,13 @@ func (cm *condManager) register(w *Wait) {
 	cm.m.waiting++
 }
 
-// unregister detaches a waiter from its entry. An entry's nodes do not
-// change while it is cached, so the per-group waiter totals are exact. A
-// group that loses its last waiter may stay a search candidate; the next
-// search drops it. A spare waiter beyond the new Waiting count is
-// dropped.
+// unregister detaches a waiter from its entry, and the waiter drops its
+// entry pointer: a released entry's storage is recycled, so no claimed or
+// cancelled handle may reach it. A caller that still needs the entry
+// reads it first. An entry's nodes do not change while it is cached, so
+// the per-group waiter totals are exact. A group that loses its last
+// waiter may stay a search candidate; the next search drops it. A spare
+// waiter beyond the new Waiting count is dropped.
 func (cm *condManager) unregister(w *Wait) {
 	e := w.e
 	last := len(e.waiters) - 1
@@ -398,6 +469,7 @@ func (cm *condManager) unregister(w *Wait) {
 	e.waiters[last] = nil
 	e.waiters = e.waiters[:last]
 	w.idx = -1
+	w.e = nil
 	if !w.notified {
 		e.unnotified--
 	}

@@ -406,8 +406,11 @@ func TestHeapStressManyKeys(t *testing.T) {
 // other group has the flag); every group a cell lists as a reader is a
 // live group of cm.groups, so no stale reader survives an eviction; every
 // cached entry is either active or on the inactive ring, not both, and
-// the parked count is the ring's length; the tag nodes live with the
-// cached entries (checkTagNodes); the spare list holds at most m.waiting
+// the parked count is the ring's length; an active entry is on the None
+// list exactly when a conjunction has no node, and each None entry knows
+// its index; the tag nodes live with the cached entries (checkTagNodes);
+// the entry kept for the next build is unreachable (checkKeptEntry); the
+// spare list holds at most m.waiting
 // waiters, each unregistered, unnotified, with an empty channel and no
 // give-up trigger; and, with no signal pending, no active or None entry
 // with an unnotified waiter evaluates true (Def. 4), the state the
@@ -455,8 +458,17 @@ func checkRelayState(t *testing.T, m *Monitor) {
 		if e.active == (e.prev != nil) {
 			t.Errorf("cached entry %q: active %v, on the inactive ring %v", e.canon, e.active, e.prev != nil)
 		}
+		if e.active && slices.Contains(e.nodes, nil) != (e.noneIdx >= 0) {
+			t.Errorf("active entry %q: a conjunction without a node %v, on the None list at %d", e.canon, slices.Contains(e.nodes, nil), e.noneIdx)
+		}
+	}
+	for i, e := range m.cm.none {
+		if int(e.noneIdx) != i {
+			t.Errorf("None list entry %q at %d has index %d", e.canon, i, e.noneIdx)
+		}
 	}
 	checkTagNodes(t, m)
+	checkKeptEntry(t, m)
 	if len(m.cm.spare) > m.waiting {
 		t.Errorf("%d spare waiters, %d registered", len(m.cm.spare), m.waiting)
 	}
@@ -490,16 +502,12 @@ func checkRelayState(t *testing.T, m *Monitor) {
 // name it; its entries are exactly the active entries that name it, each
 // once; a threshold node is in its heap exactly when it has entries, and
 // an equivalence node stays in its group's table. Every node in a table or
-// a heap is named by a cached entry. A cached entry's tag analysis has
-// been consumed into its nodes. Called with the monitor locked.
+// a heap is named by a cached entry. Called with the monitor locked.
 func checkTagNodes(t *testing.T, m *Monitor) {
 	t.Helper()
 	refs := map[*tagNode]int32{}
 	named := map[*tagNode][]*entry{} // active entries naming the node, once each
 	for _, e := range m.cm.entries {
-		if e.conjTags != nil {
-			t.Errorf("cached entry %q keeps its tag analysis", e.canon)
-		}
 		for i, n := range e.nodes {
 			if n == nil {
 				continue
@@ -552,6 +560,76 @@ func checkTagNodes(t *testing.T, m *Monitor) {
 					t.Errorf("group %q heap holds node (%s %d) at %d with index %d, named %d times", g.exprStr, n.op, n.key, i, n.heapIdx, refs[n])
 				}
 			}
+		}
+	}
+}
+
+// checkKeptEntry asserts that the entry kept for the next fresh build is
+// unreachable from the monitor's live state: it is not cached, not on
+// the inactive ring or the None list, has no waiters, and no node lists
+// it. Each node it keeps has refs 0 and sits in no heap and no table, so
+// the build that reuses it takes it from no other entry. The build
+// scratch is empty. Called with the monitor locked.
+func checkKeptEntry(t *testing.T, m *Monitor) {
+	t.Helper()
+	if len(m.cm.free) != 0 {
+		t.Errorf("%d recycled nodes left between builds", len(m.cm.free))
+	}
+	k := m.cm.kept
+	if k == nil {
+		return
+	}
+	for id, e := range m.cm.entries {
+		if e == k {
+			t.Errorf("the kept entry is cached under %q", id)
+		}
+	}
+	for e := m.cm.lru.next; e != &m.cm.lru; e = e.next {
+		if e == k {
+			t.Errorf("the kept entry %q is on the inactive ring", k.canon)
+		}
+	}
+	if k.prev != nil || k.next != nil || k.active {
+		t.Errorf("the kept entry %q is linked (%v) or active (%v)", k.canon, k.prev != nil || k.next != nil, k.active)
+	}
+	if slices.Contains(m.cm.none, k) || k.noneIdx != -1 {
+		t.Errorf("the kept entry %q is on the None list (index %d)", k.canon, k.noneIdx)
+	}
+	if len(k.waiters) != 0 || k.unnotified != 0 {
+		t.Errorf("the kept entry %q has %d waiters, %d unnotified", k.canon, len(k.waiters), k.unnotified)
+	}
+	lists := func(n *tagNode) {
+		if slices.Contains(n.entries, k) {
+			t.Errorf("node (%s %d) lists the kept entry %q", n.op, n.key, k.canon)
+		}
+	}
+	inTable := map[*tagNode]bool{}
+	for _, g := range m.cm.groups {
+		for _, n := range g.equiv {
+			inTable[n] = true
+			lists(n)
+		}
+		for _, h := range []*tagHeap{&g.minHeap, &g.maxHeap} {
+			for _, n := range h.items {
+				inTable[n] = true
+				lists(n)
+			}
+		}
+	}
+	for _, e := range m.cm.entries {
+		for _, n := range e.nodes {
+			if n != nil {
+				lists(n)
+			}
+		}
+	}
+	for _, n := range k.nodes {
+		if n == nil {
+			continue
+		}
+		if n.refs != 0 || n.heapIdx != -1 || len(n.entries) != 0 || inTable[n] {
+			t.Errorf("the kept entry %q keeps node (%s %d) with refs %d, heap index %d, %d entries, in a table or heap %v",
+				k.canon, n.op, n.key, n.refs, n.heapIdx, len(n.entries), inTable[n])
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/obs"
+	"repro/internal/tag"
 )
 
 // ErrNeverTrue is the sentinel cause reported (wrapped in a
@@ -278,19 +279,20 @@ func (m *Monitor) resolveEntry(p *Predicate) (*entry, error) {
 	if glob.IsFalse() {
 		return nil, errNeverTrue(p.src)
 	}
-	return getEntry(m.cm, glob.String(), func(canon string) (*entry, error) {
-		e, err := m.buildEntry(canon, glob, p.isShared())
+	return getEntry(m.cm, glob.String(), func(canon string) (*entry, []tag.Tag, error) {
+		e, tags, err := m.buildEntry(canon, glob, p.isShared())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// The entry is keyed by the globalized DNF, so the generated
 		// evaluator under the frozen bindings computes the same truth
 		// function; swap it in for the per-conjunction closures.
-		if genEval := p.genEntryEval(); genEval != nil {
-			e.evalFn = genEval
+		if p.gen != nil {
+			e.keys = append(e.keys[:0], p.localVals...)
+			e.evalFn = p.genEntryEval(e.keys)
 			m.stats.GenEntries++
 		}
-		return e, nil
+		return e, tags, nil
 	})
 }
 
@@ -331,8 +333,7 @@ func (m *Monitor) awaitFunc(ctx context.Context, deadline time.Time, pred func()
 		return nil
 	}
 	e := m.funcEntry(pred)
-	e.noneIdx = len(m.cm.none)
-	m.cm.none = append(m.cm.none, e)
+	m.cm.addNone(e)
 	return m.wait(ctx, deadline, e, m.rankFor(e, nil))
 }
 
@@ -456,9 +457,10 @@ func (m *Monitor) rearmWaiter(w *Wait) {
 // relaySignal runs so the signaling chain moves to the next waiter whose
 // predicate holds.
 func (m *Monitor) leave(w *Wait) {
+	e := w.e
 	m.consumeSignal(w)
 	m.cm.unregister(w)
-	m.retireIfIdle(w.e)
+	m.retireIfIdle(e)
 	m.cm.relaySignal()
 }
 
@@ -540,8 +542,7 @@ func (m *Monitor) ArmFunc(pred func() bool) *Wait {
 	defer m.mu.Unlock()
 	m.stats.Arms++
 	e := m.funcEntry(pred)
-	e.noneIdx = len(m.cm.none)
-	m.cm.none = append(m.cm.none, e)
+	m.cm.addNone(e)
 	return m.armEntry(newWait(m), e, m.rankFor(e, nil))
 }
 
@@ -574,7 +575,8 @@ func (m *Monitor) armEntry(w *Wait, e *entry, rank int64) *Wait {
 // re-armed and any relay signal it held is passed onward, so relay
 // invariance survives the futile claim.
 func (m *Monitor) claimLocked(w *Wait) error {
-	if w.e == nil {
+	e := w.e
+	if e == nil {
 		// The globalization folded to constant true at arm time: the
 		// predicate holds in every state, no entry was registered.
 		m.stats.Claims++
@@ -585,7 +587,7 @@ func (m *Monitor) claimLocked(w *Wait) error {
 	wasRelay := w.viaRelay
 	m.consumeSignal(w)
 	m.stats.PredicateEvals++
-	if w.e.evalFn() {
+	if e.evalFn() {
 		m.stats.Claims++
 		w.state = waitClaimed
 		if m.rec != nil {
@@ -593,7 +595,7 @@ func (m *Monitor) claimLocked(w *Wait) error {
 		}
 		m.observeWait(w.since, w.seq)
 		m.cm.unregister(w)
-		m.retireIfIdle(w.e)
+		m.retireIfIdle(e)
 		m.in = true
 		return nil
 	}

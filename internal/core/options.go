@@ -57,7 +57,11 @@ func WithoutGenerated() Option {
 // tag nodes, shared-expression groups and compiled evaluators that parked
 // entries keep alive for their reuse. Evicting an entry releases its
 // nodes and groups. Zero disables caching entirely (every deactivated
-// predicate is discarded, with the nodes and groups only it named).
+// predicate is discarded, with the nodes and groups only it named), which
+// suits a monitor whose predicate identities never repeat. At any limit
+// the monitor keeps the entry it released last and builds the next fresh
+// entry in its storage, so a miss allocates little more than its identity
+// string and tag analysis.
 func WithInactiveLimit(n int) Option {
 	return func(c *config) {
 		if n >= 0 {

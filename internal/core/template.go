@@ -300,21 +300,30 @@ func (m *Monitor) templateEntry(p *Predicate) (*entry, error) {
 	for i, fn := range t.keyFns {
 		keys[i] = fn()
 	}
-	build := func(canon string) (*entry, error) {
-		frozen := append([]int64(nil), keys...)
-		evalFn := t.makeEval(frozen)
-		if genEval := p.genEntryEval(); genEval != nil {
-			evalFn = genEval
+	build := func(canon string) (*entry, []tag.Tag, error) {
+		// The evaluator reads a frozen copy of the keys, or of the
+		// bindings when a generated evaluator serves the predicate. An
+		// entry of the same template built in the same storage kept the
+		// evaluator over that copy, which is overwritten in place.
+		vec := keys
+		if p.gen != nil {
+			vec = p.localVals
 			m.stats.GenEntries++
 		}
-		return &entry{
-			canon:    canon,
-			static:   p.isShared(),
-			noneIdx:  -1,
-			evalFn:   evalFn,
-			conjTags: t.tags(frozen),
-			outside:  t.outside,
-		}, nil
+		e := m.cm.recycled()
+		e.keys = append(e.keys[:0], vec...)
+		if e.tmpl != t {
+			e.tmpl = t
+			if p.gen != nil {
+				e.evalFn = p.genEntryEval(e.keys)
+			} else {
+				e.evalFn = t.makeEval(e.keys)
+			}
+		}
+		e.canon = canon
+		e.static = p.isShared()
+		e.outside = t.outside
+		return e, t.tags(keys), nil
 	}
 	var e *entry
 	var err error

@@ -1,6 +1,7 @@
 package watchd
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -69,7 +70,7 @@ type SoakResult struct {
 	SustainedMax int64 `json:"sustained_max"`
 
 	Published uint64 `json:"published"`
-	Churned   uint64 `json:"churned"`
+	Churned   uint64 `json:"churned"` // sessions the churners replaced, expired ones included
 
 	Stats Stats `json:"stats"`
 
@@ -119,7 +120,11 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 
 	// Churners replace sessions in their own partition: register the
 	// successor first (briefly overshooting the population, exercising the
-	// admission gate), fall back to cancel-first when rejected.
+	// admission gate), fall back to cancel-first when rejected. Before
+	// each replacement a churner re-registers every session of its
+	// partition that expired since it last looked, so an idle deadline
+	// thins the population only by what expires between two of its
+	// ticks, however rarely the churners get to run.
 	per := (len(sessions) + cfg.Churners - 1) / cfg.Churners
 	for c := 0; c < cfg.Churners; c++ {
 		lo := c * per
@@ -136,11 +141,28 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 			rng := rand.New(rand.NewSource(seed))
 			tick := time.NewTicker(cfg.ChurnEvery)
 			defer tick.Stop()
+			var seen uint64 // d.expired at the last look
+			missed := false // a re-registration was rejected; look again
 			for {
 				select {
 				case <-stop:
 					return
 				case <-tick.C:
+				}
+				if n := d.expired.Load(); n != seen || missed {
+					seen, missed = n, false
+					for i, s := range part {
+						if !errors.Is(s.Err(), ErrExpired) {
+							continue
+						}
+						next, err := d.Register(uint64(rng.Intn(d.NumKeys())))
+						if err != nil {
+							missed = true
+							continue
+						}
+						part[i] = next
+						churned.Add(1)
+					}
 				}
 				i := rng.Intn(len(part))
 				key := uint64(rng.Intn(d.NumKeys()))

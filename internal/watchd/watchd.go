@@ -17,11 +17,19 @@
 // renewal allocates no handle. Handles are multiplexed onto a small set
 // of dispatcher goroutines with Wait.Subscribe: each dispatcher owns one
 // buffered delivery channel, receives the session ids of fired handles,
-// claims Mesa-style (re-validating under the shard lock), reads the key's
+// looks the session up in its slot table (a slice indexed by id), claims
+// Mesa-style (re-validating under the shard lock), reads the key's
 // version, and hands the event to the client (callback or per-session
 // channel). The wake-to-claim interval — notification received to claim
 // completed — is recorded into a per-dispatcher histogram and merged on
 // Stats.
+//
+// The shard monitors park no predicate entries (core.WithInactiveLimit(0),
+// which Config.MonitorOptions can override). A key's versions only grow
+// and a session re-arms only for a version after the one it saw, so an
+// entry whose last waiter has gone is never asked for again: parking it
+// would only delay its eviction. Each discarded entry's storage builds the
+// next fresh one instead.
 //
 // # Admission control and eviction
 //
@@ -35,6 +43,9 @@
 // waiter lifetime by time the same way: a janitor expires armed sessions
 // (ErrExpired, distinct from ErrEvicted) that go a full deadline without
 // a delivery, Renew, or futile wake. All three are surfaced in Stats.
+// The activity order both read, an idle LRU of armed sessions, is kept
+// only when MaxIdle or IdleExpiry is set; otherwise nothing reads it, and
+// no session is listed.
 //
 // # Delivery-channel accounting
 //
@@ -46,8 +57,10 @@
 // incremented when an armed session is cancelled, decremented when its
 // stale id is dequeued — and admission keeps live+zombies within the
 // channel capacity, making the no-drop bound an invariant rather than a
-// hope. Close drains every dispatcher and verifies zero live sessions,
-// zero zombies, and zero registered waiters.
+// hope. A zombie's id is reused only once its notification has drained,
+// so a queued id always names the session it was sent for. Close drains
+// every dispatcher and verifies zero live sessions, zero zombies, and
+// zero registered waiters.
 package watchd
 
 import (
@@ -120,7 +133,8 @@ type Config struct {
 	EventBuffer int
 
 	// MonitorOptions configure every inner monitor (e.g.
-	// core.WithoutTagging for the AutoSynch-T variant).
+	// core.WithoutTagging for the AutoSynch-T variant). They apply after
+	// the daemon's own core.WithInactiveLimit(0), which they may override.
 	MonitorOptions []core.Option
 }
 
@@ -171,7 +185,7 @@ const (
 type Session struct {
 	d  *Daemon
 	dp *dispatcher
-	id int
+	id int // slot in dp.sessions and the handle's delivery index
 
 	key uint64
 
@@ -266,12 +280,26 @@ type dispatcher struct {
 	ch chan int
 
 	mu       sync.Mutex
-	sessions map[int]*Session
-	nextID   int
-	live     int // sessions in the map
-	zombies  int // cancelled sessions with a possibly-queued notification
-	quota    int // live+zombies bound; equals cap(ch)
+	sessions []*Session // live sessions by id; nil for a free or zombie id
+	free     []int      // ids with no session and nothing queued, for reuse
+	live     int        // live sessions
+	zombies  int        // cancelled sessions with a possibly-queued notification
+	quota    int        // live+zombies bound; equals cap(ch)
 	hist     stats.Histogram
+}
+
+// add gives a new session an id, reusing a free one, and a slot. Caller
+// holds dp.mu.
+func (dp *dispatcher) add(s *Session) {
+	if last := len(dp.free) - 1; last >= 0 {
+		s.id = dp.free[last]
+		dp.free = dp.free[:last]
+		dp.sessions[s.id] = s
+	} else {
+		s.id = len(dp.sessions)
+		dp.sessions = append(dp.sessions, s)
+	}
+	dp.live++
 }
 
 // arm arms the session's handle for s.want, subscribed to the dispatcher
@@ -308,21 +336,28 @@ func (dp *dispatcher) cancelLocked(s *Session, cause error) {
 		}
 		return
 	}
-	if s.state == sessionArmed {
-		s.w.Cancel()
-		dp.zombies++ // the cycle's notification (real or courtesy) is queued
+	queued := s.state == sessionArmed
+	if queued {
+		s.w.Cancel() // the cycle's notification (real or courtesy) is queued
 		dp.d.armed.Add(-1)
 		dp.d.lruRemove(s)
 	}
-	dp.removeLocked(s, cause)
+	dp.removeLocked(s, cause, queued)
 }
 
 // removeLocked finishes taking a session out of the daemon. Caller holds
-// dp.mu; the session must not be armed or claiming anymore.
-func (dp *dispatcher) removeLocked(s *Session, cause error) {
+// dp.mu; the session must not be armed or claiming anymore. queued says
+// whether a notification for its id may still be queued: the id is then
+// a zombie until process drains it, and free at once otherwise.
+func (dp *dispatcher) removeLocked(s *Session, cause error, queued bool) {
 	s.state = sessionDead
 	s.err = cause
-	delete(dp.sessions, s.id)
+	dp.sessions[s.id] = nil
+	if queued {
+		dp.zombies++
+	} else {
+		dp.free = append(dp.free, s.id)
+	}
 	dp.live--
 	dp.d.active.Add(-1)
 	if s.events != nil {
@@ -367,13 +402,13 @@ func (dp *dispatcher) run() {
 // the wake timestamp of the wake-to-claim measurement.
 func (dp *dispatcher) process(id int, t0 time.Time) {
 	dp.mu.Lock()
-	s, ok := dp.sessions[id]
-	if !ok {
+	s := dp.sessions[id]
+	if s == nil {
 		// A zombie's final notification: the session was cancelled with
-		// this entry queued (or mid-receive); account the drained slot.
-		if dp.zombies > 0 {
-			dp.zombies--
-		}
+		// this entry queued (or mid-receive); account the drained slot,
+		// whose id nothing can name any more.
+		dp.zombies--
+		dp.free = append(dp.free, id)
 		dp.mu.Unlock()
 		return
 	}
@@ -412,15 +447,12 @@ func (dp *dispatcher) finalize(s *Session, err error, ver int64, wake time.Durat
 	defer dp.mu.Unlock()
 	s.claiming = false
 	if s.pendingCancel {
-		// A cancel or eviction raced the claim; it deferred to us.
-		if errors.Is(err, core.ErrNotReady) {
-			// The futile claim re-armed the handle before the cancel
-			// landed, so the cancel's courtesy notification is queued.
-			dp.zombies++
-		}
+		// A cancel or eviction raced the claim; it deferred to us. The
+		// cancel's courtesy notification is queued only when a futile
+		// claim re-armed the handle before the cancel landed.
 		d.armed.Add(-1)
 		d.lruRemove(s)
-		dp.removeLocked(s, s.cancelCause)
+		dp.removeLocked(s, s.cancelCause, errors.Is(err, core.ErrNotReady))
 		return Event{}, false
 	}
 	switch {
@@ -492,8 +524,11 @@ func New(cfg Config) *Daemon {
 	d := &Daemon{cfg: cfg, quit: make(chan struct{})}
 	d.vers = make([]*core.IntCell, cfg.Keys)
 	d.preds = make([]*core.Predicate, cfg.Keys)
+	// No session re-arms a version its key has passed, so the monitors
+	// park no entries.
+	opts := append([]core.Option{core.WithInactiveLimit(0)}, cfg.MonitorOptions...)
 	d.sm = shard.New(cfg.Shards,
-		shard.WithMonitorOptions(cfg.MonitorOptions...),
+		shard.WithMonitorOptions(opts...),
 		shard.WithSetup(func(si int, m *core.Monitor) {
 			for k := 0; k < cfg.Keys; k++ {
 				if shard.IndexFor(uint64(k), cfg.Shards) == si {
@@ -512,10 +547,7 @@ func New(cfg Config) *Daemon {
 	quota := 2*((cfg.MaxSessions+cfg.Dispatchers-1)/cfg.Dispatchers) + 64
 	d.disp = make([]*dispatcher, cfg.Dispatchers)
 	for i := range d.disp {
-		d.disp[i] = &dispatcher{
-			d: d, ch: make(chan int, quota), quota: quota,
-			sessions: make(map[int]*Session),
-		}
+		d.disp[i] = &dispatcher{d: d, ch: make(chan int, quota), quota: quota}
 		d.wg.Add(1)
 		go d.disp[i].run()
 	}
@@ -640,16 +672,14 @@ func (d *Daemon) Register(key uint64) (*Session, error) {
 		d.rejected.Add(1)
 		return nil, ErrSessionLimit
 	}
-	dp.nextID++
 	s := &Session{
-		d: d, dp: dp, id: dp.nextID, key: key,
+		d: d, dp: dp, key: key,
 		state: sessionArmed, seen: cur, want: cur + 1,
 	}
 	if d.cfg.OnEvent == nil {
 		s.events = make(chan Event, d.cfg.EventBuffer)
 	}
-	dp.sessions[s.id] = s
-	dp.live++
+	dp.add(s)
 	dp.arm(s)
 	d.armed.Add(1)
 	d.lruTouch(s)
@@ -759,12 +789,10 @@ func (d *Daemon) Close() error {
 	}
 	for _, dp := range d.disp {
 		dp.mu.Lock()
-		victims := make([]*Session, 0, len(dp.sessions))
 		for _, s := range dp.sessions {
-			victims = append(victims, s)
-		}
-		for _, s := range victims {
-			dp.cancelLocked(s, ErrClosed)
+			if s != nil {
+				dp.cancelLocked(s, ErrClosed)
+			}
 		}
 		dp.mu.Unlock()
 	}
@@ -856,11 +884,18 @@ func (l *lruList) popOldest() (*Session, uint64) {
 	return s, s.lruEpoch
 }
 
+// keepsLRU reports whether anything reads the idle LRU: eviction past
+// MaxIdle, or the IdleExpiry janitor. Without either it stays empty.
+func (d *Daemon) keepsLRU() bool { return d.cfg.MaxIdle > 0 || d.cfg.IdleExpiry > 0 }
+
 // lruTouch moves an armed session to the recent end, listing its own
 // element if it is not listed: a new session, or one an evictor popped
 // concurrently. Only an IdleExpiry janitor reads the touch time, so the
 // clock is read only then. Caller holds the dispatcher lock.
 func (d *Daemon) lruTouch(s *Session) {
+	if !d.keepsLRU() {
+		return
+	}
 	d.lruMu.Lock()
 	if s.lruEl != nil {
 		d.lru.remove(s.lruEl)
@@ -879,6 +914,9 @@ func (d *Daemon) lruTouch(s *Session) {
 // lruRemove drops a session from the LRU (no-op if already popped).
 // Caller holds the dispatcher lock.
 func (d *Daemon) lruRemove(s *Session) {
+	if !d.keepsLRU() {
+		return
+	}
 	d.lruMu.Lock()
 	if s.lruEl != nil {
 		d.lru.remove(s.lruEl)

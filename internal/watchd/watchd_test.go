@@ -488,3 +488,211 @@ func TestVersionAccessor(t *testing.T) {
 		t.Fatalf("untouched key Version = %d, %v", v, err)
 	}
 }
+
+// lruLen counts the sessions on the idle LRU, and how many sessions
+// think they are listed.
+func lruLen(d *Daemon, ss []*Session) (listed, marked int) {
+	d.lruMu.Lock()
+	defer d.lruMu.Unlock()
+	for e := d.lru.head; e != nil; e = e.next {
+		listed++
+	}
+	for _, s := range ss {
+		if s.lruEl != nil {
+			marked++
+		}
+	}
+	return listed, marked
+}
+
+// TestLRUKeptOnlyWhenRead: with neither MaxIdle nor IdleExpiry set,
+// nothing reads the idle LRU, so no session is ever listed on it across
+// register → publish → deliver → renew → cancel cycles; with either set,
+// the armed sessions are listed.
+func TestLRUKeptOnlyWhenRead(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  func(*Config)
+		want bool
+	}{
+		{"off", func(*Config) {}, false},
+		{"max-idle", func(c *Config) { c.MaxIdle = 1 << 10 }, true},
+		{"idle-expiry", func(c *Config) { c.IdleExpiry = time.Hour }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := smallConfig()
+			c.cfg(&cfg)
+			d := New(cfg)
+			defer testutil.NoLeaks(t, d)()
+			check := func(what string, ss []*Session, armed int) {
+				t.Helper()
+				listed, marked := lruLen(d, ss)
+				want := 0
+				if c.want {
+					want = armed
+				}
+				if listed != want || marked != want {
+					t.Fatalf("%s: %d sessions listed, %d marked listed, want %d", what, listed, marked, want)
+				}
+			}
+			for cycle := range 3 {
+				var ss []*Session
+				for k := range 4 {
+					s, err := d.Register(uint64(k))
+					if err != nil {
+						t.Fatalf("Register: %v", err)
+					}
+					ss = append(ss, s)
+				}
+				check("registered", ss, 4)
+				for k, s := range ss {
+					v, err := d.Publish(uint64(k))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ev := recvEvent(t, s); ev.Version != v {
+						t.Fatalf("cycle %d: delivered version %d, want %d", cycle, ev.Version, v)
+					}
+				}
+				check("delivered", ss, 0)
+				for _, s := range ss {
+					if err := s.Renew(); err != nil {
+						t.Fatalf("Renew: %v", err)
+					}
+				}
+				check("renewed", ss, 4)
+				for _, s := range ss {
+					s.Cancel()
+				}
+				check("cancelled", ss, 0)
+			}
+			mustClose(t, d)
+		})
+	}
+}
+
+// TestSessionSlotReuse: a dispatcher keeps its sessions in slots indexed
+// by id and reuses the id of a cancelled session only once the
+// notification queued for it has drained. With the only dispatcher held
+// inside OnEvent, a cancelled armed session's courtesy notification
+// stays queued, and sessions registered meanwhile take other ids; once
+// the dispatcher drains, the id is taken again. Every delivery owed
+// arrives exactly once, and Close leaves no live session, zombie or
+// waiter.
+func TestSessionSlotReuse(t *testing.T) {
+	hold, held := make(chan struct{}), make(chan struct{}, 1)
+	var mu sync.Mutex
+	got := map[*Session][]int64{}
+	cfg := smallConfig()
+	cfg.Dispatchers = 1
+	cfg.OnEvent = func(ev Event) {
+		mu.Lock()
+		got[ev.Session] = append(got[ev.Session], ev.Version)
+		first := len(got) == 1 && len(got[ev.Session]) == 1
+		mu.Unlock()
+		if first {
+			held <- struct{}{}
+			<-hold
+		}
+	}
+	d := New(cfg)
+	defer testutil.NoLeaks(t, d)()
+	dp := d.disp[0]
+	id := func(s *Session) int {
+		dp.mu.Lock()
+		defer dp.mu.Unlock()
+		return s.id
+	}
+	zombies := func() int {
+		dp.mu.Lock()
+		defer dp.mu.Unlock()
+		return dp.zombies
+	}
+
+	a, err := d.Register(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := d.Register(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Publish(1); err != nil {
+		t.Fatal(err)
+	}
+	waitTimeout(t, "the dispatcher holding in OnEvent", held)
+	// b is armed, so its cancel queues a courtesy notification behind the
+	// held dispatcher.
+	zombie := id(b)
+	b.Cancel()
+	if z := zombies(); z != 1 {
+		t.Fatalf("zombies = %d after cancelling an armed session, want 1", z)
+	}
+	owed := map[*Session]int64{}
+	var fresh []*Session
+	for k := range 6 {
+		s, err := d.Register(uint64(3 + k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id(s) == zombie {
+			t.Fatalf("session %d took the id %d of a session whose notification is still queued", k, zombie)
+		}
+		fresh = append(fresh, s)
+		v, err := d.Publish(uint64(3 + k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owed[s] = v
+	}
+	close(hold)
+	testutil.WaitFor(t, 5*time.Second, 0, func() bool { return zombies() == 0 }, "the zombie notification drained")
+	testutil.WaitFor(t, 5*time.Second, 0, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for s := range owed {
+			if len(got[s]) == 0 {
+				return false
+			}
+		}
+		return true
+	}, "every owed delivery")
+	next, err := d.Register(12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id(next) != zombie {
+		t.Errorf("a session registered after the drain took id %d, want the drained id %d", id(next), zombie)
+	}
+	owed[a] = 1
+	mu.Lock()
+	for s, v := range owed {
+		if vs := got[s]; len(vs) != 1 || vs[0] != v {
+			t.Errorf("session on key %d got versions %v, want [%d]", s.Key(), vs, v)
+		}
+	}
+	if vs := got[b]; len(vs) != 0 {
+		t.Errorf("the cancelled session got versions %v", vs)
+	}
+	if len(got) != len(owed) {
+		t.Errorf("%d sessions got deliveries, want %d", len(got), len(owed))
+	}
+	mu.Unlock()
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st := d.Stats(); st.Active != 0 || st.Zombies != 0 || st.Waiting != 0 {
+		t.Fatalf("after Close: %v, zombies %d, waiting %d", st, st.Zombies, st.Waiting)
+	}
+}
+
+// waitTimeout receives from ch, failing the test if nothing arrives in
+// time.
+func waitTimeout(t *testing.T, what string, ch <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
